@@ -1,13 +1,14 @@
 """Batched-vs-scalar model evaluation: the vectorisation acceptance gate.
 
 One grid sweep per Example-1 movie — the exact hot path behind
-``test_bench_figure8`` and ``test_bench_sizing`` — evaluated three times:
-through the scalar oracle, the stdlib batched kernels, and the numpy
-backend.  The three value vectors must agree **byte for byte** (the batched
-kernels are exact re-associations of the scalar arithmetic, not
-approximations), and the best batched backend must clear the speedup floor:
-10x locally, relaxed to 5x in CI via ``BATCH_SPEEDUP_FLOOR`` because shared
-runners time noisily.  The measured ladder lands in a JSON artifact
+``test_bench_figure8`` and ``test_bench_sizing`` — evaluated twice: through
+the production batch (``HitProbabilityModel.hit_probability_batch``) and
+through a loop of the scalar oracle (``repro.core.hitsets.hit_probability``
+per operation, mixed by Eq. (22)).  The two value vectors must agree **byte
+for byte** (the batched kernels are exact re-associations of the scalar
+arithmetic, not approximations), and the batch must clear the speedup
+floor: 10x locally, relaxed to 5x in CI via ``BATCH_SPEEDUP_FLOOR`` because
+shared runners time noisily.  The measured ladder lands in a JSON artifact
 (``BATCH_BENCH_JSON``) that CI archives next to the service latency ladder.
 """
 
@@ -18,13 +19,14 @@ import os
 from pathlib import Path
 from time import perf_counter
 
+from repro.core.hitsets import CdfTransform, hit_probability
+from repro.core.vcrop import VCROperation
 from repro.distributions import ExponentialDuration, GammaDuration
-from repro.numerics.backend import use_backend
 from repro.sizing.feasible import MovieSizingSpec
 
 #: Where the speedup payload lands (CI uploads it as an artifact).
 TIMING_PATH = Path(os.environ.get("BATCH_BENCH_JSON", "batched_speedup.json"))
-#: Minimum acceptable speedup of the best batched backend over scalar.
+#: Minimum acceptable speedup of the batched path over the scalar oracle.
 SPEEDUP_FLOOR = float(os.environ.get("BATCH_SPEEDUP_FLOOR", "10.0"))
 
 _SPECS = [
@@ -47,73 +49,77 @@ def _grid(model, length):
     ]
 
 
-def _timed_sweep(spec, backend):
-    """(values, seconds) for one movie's grid under one backend.
+def _scalar_loop(model):
+    """The oracle: Eq. (22) over the scalar per-operation kernel, per config."""
+    ops = list(VCROperation)
+    transforms = {op: CdfTransform(model.duration_of(op), model.movie_length) for op in ops}
+
+    def evaluate(batch):
+        values = []
+        for config in batch:
+            p_hit = 0.0
+            for op in ops:
+                p_hit += model.mix.probability_of(op) * hit_probability(
+                    op, config, model.duration_of(op), transform=transforms[op]
+                )
+            values.append(p_hit)
+        return values
+
+    return evaluate
+
+
+def _timed_sweep(spec, path):
+    """(values, seconds) for one movie's grid through ``path``.
 
     Model construction (truncation, CDF transforms) is excluded: it is
-    identical across backends and already covered by the model cache
+    identical for both paths and already covered by the model cache
     benchmarks.  A small warmup batch absorbs one-time costs.
     """
-    with use_backend(backend):
-        model = spec.build_model()
-        configs = _grid(model, spec.length)
-        model.hit_probability_batch(configs[:6])  # warmup
-        start = perf_counter()
-        values = model.hit_probability_batch(configs)
-        elapsed = perf_counter() - start
+    model = spec.build_model()
+    configs = _grid(model, spec.length)
+    evaluate = model.hit_probability_batch if path == "batched" else _scalar_loop(model)
+    evaluate(configs[:6])  # warmup
+    start = perf_counter()
+    values = evaluate(configs)
+    elapsed = perf_counter() - start
     return values, elapsed
 
 
 def test_batched_speedup_and_equivalence():
-    """Acceptance: batched evaluation is >= SPEEDUP_FLOOR x scalar, and the
-    scalar/stdlib/numpy value vectors are byte-identical per movie."""
+    """Acceptance: batched evaluation is >= SPEEDUP_FLOOR x the scalar
+    oracle loop, and the two value vectors are byte-identical per movie."""
     movies = {}
-    totals = {"scalar": 0.0, "stdlib": 0.0, "numpy": 0.0}
+    totals = {"scalar": 0.0, "batched": 0.0}
     for spec in _SPECS:
         scalar_values, scalar_s = _timed_sweep(spec, "scalar")
-        stdlib_values, stdlib_s = _timed_sweep(spec, "stdlib")
-        numpy_values, numpy_s = _timed_sweep(spec, "numpy")
-        assert stdlib_values == scalar_values, spec.name
-        assert numpy_values == scalar_values, spec.name
-        speedup_stdlib = scalar_s / stdlib_s
-        speedup_numpy = scalar_s / numpy_s
+        batched_values, batched_s = _timed_sweep(spec, "batched")
+        assert batched_values == scalar_values, spec.name
+        speedup = scalar_s / batched_s
         totals["scalar"] += scalar_s
-        totals["stdlib"] += stdlib_s
-        totals["numpy"] += numpy_s
+        totals["batched"] += batched_s
         movies[spec.name] = {
             "grid_points": len(scalar_values),
             "scalar_s": round(scalar_s, 6),
-            "stdlib_s": round(stdlib_s, 6),
-            "numpy_s": round(numpy_s, 6),
-            "speedup_stdlib": round(speedup_stdlib, 2),
-            "speedup_numpy": round(speedup_numpy, 2),
+            "batched_s": round(batched_s, 6),
+            "speedup": round(speedup, 2),
             "byte_identical": True,
         }
-        print(
-            f"{spec.name}: scalar {scalar_s:.3f}s  "
-            f"stdlib {stdlib_s:.3f}s ({speedup_stdlib:.1f}x)  "
-            f"numpy {numpy_s:.3f}s ({speedup_numpy:.1f}x)"
-        )
+        print(f"{spec.name}: scalar {scalar_s:.3f}s  batched {batched_s:.3f}s ({speedup:.1f}x)")
 
     # The gate matches the pipeline benchmarks (figure 8 / sizing sweep all
     # three movies back to back), so it is the aggregate ratio that must
     # clear the floor; per-movie ratios are reported for diagnosis.
-    aggregate_numpy = totals["scalar"] / totals["numpy"]
-    aggregate_stdlib = totals["scalar"] / totals["stdlib"]
+    aggregate = totals["scalar"] / totals["batched"]
     payload = {
         "benchmark": "batched_model_evaluation",
         "floor": SPEEDUP_FLOOR,
-        "aggregate_speedup_numpy": round(aggregate_numpy, 2),
-        "aggregate_speedup_stdlib": round(aggregate_stdlib, 2),
+        "aggregate_speedup": round(aggregate, 2),
         "movies": movies,
     }
     TIMING_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"aggregate: stdlib {aggregate_stdlib:.1f}x  numpy {aggregate_numpy:.1f}x  "
-        f"(floor {SPEEDUP_FLOOR:.0f}x)"
-    )
+    print(f"aggregate: {aggregate:.1f}x  (floor {SPEEDUP_FLOOR:.0f}x)")
 
-    assert aggregate_numpy >= SPEEDUP_FLOOR, (
-        f"numpy backend speedup {aggregate_numpy:.1f}x below the "
+    assert aggregate >= SPEEDUP_FLOOR, (
+        f"batched speedup {aggregate:.1f}x below the "
         f"{SPEEDUP_FLOOR:.0f}x floor; see {TIMING_PATH}"
     )

@@ -53,7 +53,7 @@ WALL_CLOCK_CALLS = frozenset(
 )
 
 #: Package prefixes always inside the determinism scope.  The numerics and
-#: distribution kernels are included because the batched backends promise
+#: distribution kernels are included because the batched model path promises
 #: byte-identical replay of the scalar oracle — any hidden entropy or
 #: wall-clock read there would silently break the equivalence gate.
 _SCOPE_PREFIXES = (

@@ -65,7 +65,6 @@ from repro.core.hitmodel import HitProbabilityModel, VCRMix
 from repro.core.vcrop import VCROperation
 from repro.distributions.factory import distribution_from_spec
 from repro.experiments.registry import available_experiments, run_experiment
-from repro.numerics.backend import BACKENDS, set_backend
 from repro.obs.log import configure as configure_logging
 from repro.obs.registry import ObsRegistry
 from repro.obs.trace import TraceWriter
@@ -137,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-q", "--quiet", action="count", default=0,
         help="decrease log verbosity (repeatable)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="numerics backend for model evaluation (default: stdlib batched "
-        "kernels, or the REPRO_BACKEND environment variable; 'numpy' enables "
-        "the vectorised kernels, 'scalar' forces the unbatched oracle)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1328,8 +1321,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose, args.quiet)
-    if args.backend is not None:
-        set_backend(args.backend)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.hitsets import (
+# ``hit_probability`` (the scalar oracle) stays importable from this module
+# beside the batch kernel: tracers that wrap the Eq.-(21) kernels by module
+# attribute look for both names here.
+from repro.core.hitsets import (  # noqa: F401
     CdfTransform,
     end_probability,
     hit_probability,
@@ -30,7 +33,6 @@ from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
 from repro.distributions.truncated import truncate
 from repro.exceptions import ConfigurationError
-from repro.numerics.backend import batching_enabled
 
 __all__ = ["VCRMix", "HitBreakdown", "HitProbabilityModel"]
 
@@ -205,21 +207,12 @@ class HitProbabilityModel:
     ) -> float:
         """``P(hit | operation)`` under this movie's duration statistics.
 
-        With a batched backend active (the default) this is a batch of one —
-        byte-identical to the scalar path, which remains reachable (and is
-        CI-compared) under ``REPRO_BACKEND=scalar``.
+        A batch of one through :meth:`hit_probability_for_batch` — bit for
+        bit equal to the scalar :func:`~repro.core.hitsets.hit_probability`,
+        the readable form of the paper's equations, which the tests keep as
+        the oracle.
         """
-        self._check_config(config)
-        if batching_enabled():
-            return self.hit_probability_for_batch(operation, [config])[0]
-        return hit_probability(
-            operation,
-            config,
-            self._durations[operation],
-            include_end_hit=self._include_end_hit,
-            num_offset_nodes=self._num_offset_nodes,
-            transform=self._transforms[operation],
-        )
+        return self.hit_probability_for_batch(operation, [config])[0]
 
     def hit_probability_for_batch(
         self, operation: VCROperation, configs: Sequence[SystemConfiguration]
@@ -227,18 +220,6 @@ class HitProbabilityModel:
         """``P(hit | operation)`` for many configurations in one fused call."""
         for config in configs:
             self._check_config(config)
-        if not batching_enabled():
-            return [
-                hit_probability(
-                    operation,
-                    config,
-                    self._durations[operation],
-                    include_end_hit=self._include_end_hit,
-                    num_offset_nodes=self._num_offset_nodes,
-                    transform=self._transforms[operation],
-                )
-                for config in configs
-            ]
         return hit_probability_batch(
             operation,
             configs,
@@ -268,19 +249,7 @@ class HitProbabilityModel:
         Operations with zero mix weight are still evaluated — the breakdown
         is frequently used to compare single-operation curves (Figure 7).
         """
-        if batching_enabled():
-            return self.breakdown_batch([config])[0]
-        self._check_config(config)
-        ff_op = VCROperation.FAST_FORWARD
-        return HitBreakdown(
-            p_hit_ff=self.hit_probability_for(ff_op, config),
-            p_hit_rw=self.hit_probability_for(VCROperation.REWIND, config),
-            p_hit_pause=self.hit_probability_for(VCROperation.PAUSE, config),
-            p_end_ff=end_probability(
-                config, self._durations[ff_op], transform=self._transforms[ff_op]
-            ),
-            mix=self._mix,
-        )
+        return self.breakdown_batch([config])[0]
 
     def breakdown_batch(self, configs: Sequence[SystemConfiguration]) -> list[HitBreakdown]:
         """Per-operation components for many configurations in one pass."""
@@ -309,7 +278,7 @@ class HitProbabilityModel:
         This is the family of points the paper plots in Figure 7: sweep ``n``
         at a fixed maximum wait ``w``; the buffer follows from Eq. (2).
         Partition counts for which ``n·w > l`` are skipped.  The whole curve
-        is one batched evaluation when a batched backend is active.
+        is one batched evaluation.
         """
         configs: list[SystemConfiguration] = []
         for n in partition_counts:
@@ -317,9 +286,7 @@ class HitProbabilityModel:
             if buffer_minutes < 0.0:
                 continue
             configs.append(self.configuration(int(n), buffer_minutes))
-        if batching_enabled():
-            return list(zip(configs, self.hit_probability_batch(configs)))
-        return [(config, self.hit_probability(config)) for config in configs]
+        return list(zip(configs, self.hit_probability_batch(configs)))
 
     def _check_config(self, config: SystemConfiguration) -> None:
         if not math.isclose(config.movie_length, self._movie_length, rel_tol=0, abs_tol=1e-9):

@@ -44,20 +44,15 @@ class ExponentialDuration(DurationDistribution):
         return -math.expm1(-self.rate * x)
 
     def cdf_batch(self, xs):
-        # Same arithmetic as ``cdf`` (bit-for-bit), one frame per batch.
-        # ndarray in -> ndarray out: the multiply/negate are exactly-rounded
-        # vector ops and expm1 goes through map(math.expm1, ...) per element.
-        rate = self.rate
-        if isinstance(xs, np.ndarray):
-            out = np.zeros(xs.shape)
-            pos = xs > 0.0
-            args = (-rate) * xs[pos]
-            vals = np.fromiter(
-                map(math.expm1, args.tolist()), dtype=float, count=args.shape[0]
-            )
-            out[pos] = -vals
-            return out
-        return [-math.expm1(-rate * x) if x > 0.0 else 0.0 for x in xs]
+        # Same arithmetic as ``cdf`` (bit-for-bit), one frame per batch: the
+        # multiply/negate are exactly-rounded vector ops and expm1 goes
+        # through map(math.expm1, ...) per element.
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        pos = xs > 0.0
+        args = (-self.rate) * xs[pos]
+        out[pos] = -np.fromiter(map(math.expm1, args.tolist()), dtype=float, count=args.size)
+        return out
 
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.distributions.base import DurationDistribution
 from repro.distributions.special import (
-    _regularized_lower_gamma_arr,
     log_gamma,
     regularized_lower_gamma,
     regularized_lower_gamma_many,
@@ -80,21 +79,11 @@ class GammaDuration(DurationDistribution):
         return regularized_lower_gamma(self._shape, x / self._scale)
 
     def cdf_batch(self, xs):
-        # On the numpy backend the whole batch runs through the masked
-        # vectorised incomplete gamma (bitwise-equal to the scalar series /
-        # continued fraction); otherwise fall back to the scalar loop.
-        # ndarray in -> ndarray out, so array pipelines stay allocation-lean.
-        from repro.numerics.backend import active_backend
-
-        if isinstance(xs, np.ndarray):
-            scaled = np.where(xs > 0.0, xs / self._scale, 0.0)
-            return _regularized_lower_gamma_arr(self._shape, scaled)
-        if active_backend() == "numpy" and len(xs) > 1:
-            scale = self._scale
-            return regularized_lower_gamma_many(
-                self._shape, [x / scale if x > 0.0 else 0.0 for x in xs]
-            )
-        return [self.cdf(float(x)) for x in xs]
+        # The masked vectorised incomplete gamma, bitwise-equal to the
+        # scalar series / continued fraction.
+        xs = np.asarray(xs, dtype=float)
+        scaled = np.where(xs > 0.0, xs / self._scale, 0.0)
+        return regularized_lower_gamma_many(self._shape, scaled)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.gamma(self._shape, self._scale, size=size)

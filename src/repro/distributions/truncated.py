@@ -185,33 +185,15 @@ class TruncatedDuration(DurationDistribution):
 
     def cdf_batch(self, xs):
         # One base-distribution batch over the interior points, with the
-        # same clamps and the same renormalising division as ``cdf``.
-        # ndarray in -> ndarray out (clamps and the division are
-        # exactly-rounded vector ops; the base CDF sees only the interior).
+        # same clamps and the same renormalising division as ``cdf`` (both
+        # exactly-rounded vector ops).
+        xs = np.asarray(xs, dtype=float)
         limit = self._limit
-        mass = self._mass
-        if isinstance(xs, np.ndarray):
-            out = np.where(xs >= limit, 1.0, 0.0)
-            inner = (xs > 0.0) & (xs < limit)
-            if inner.any():
-                values = np.asarray(self._base.cdf_batch(xs[inner]), dtype=float)
-                out[inner] = values / mass
-            return out
-        out_list = [0.0] * len(xs)
-        interior: list[float] = []
-        positions: list[int] = []
-        for i, x in enumerate(xs):
-            if x <= 0.0:
-                continue
-            if x >= limit:
-                out_list[i] = 1.0
-                continue
-            interior.append(x)
-            positions.append(i)
-        if interior:
-            for i, value in zip(positions, self._base.cdf_batch(interior)):
-                out_list[i] = value / mass
-        return out_list
+        out = np.where(xs >= limit, 1.0, 0.0)
+        inner = (xs > 0.0) & (xs < limit)
+        if inner.any():
+            out[inner] = self._base.cdf_batch(xs[inner]) / self._mass
+        return out
 
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:

@@ -143,44 +143,40 @@ def compile_timeline(trace: Trace) -> list[TimedRequest]:
 
     Each session becomes ``session_start`` at its arrival, a
     (operation, ``resume``) pair per VCR event, and ``session_end`` when the
-    viewer finishes.  Ties on the clock break by (session, per-session
-    order), so the timeline — and everything driven from it — is fully
-    deterministic.
+    viewer finishes.  Every request time is the arrival plus the request's
+    offset within its session, kept non-decreasing in issue order: adding an
+    operation's wall time to its absolute start instead could round a
+    ``resume`` past its own ``session_end``.  Ties on the clock break by
+    (session, per-session order), so the timeline — and everything driven
+    from it — is fully deterministic.
     """
     entries: list[tuple[float, int, int, Request]] = []
     request_id = 0
     for session in trace:
-        order = 0
-
-        def put(at: float, kind: str, movie: int = -1, duration: float = 0.0) -> None:
-            nonlocal request_id, order
-            entries.append(
-                (
-                    at,
-                    session.session_id,
-                    order,
-                    Request(
-                        request_id=request_id,
-                        kind=kind,
-                        session=session.session_id,
-                        movie=movie,
-                        duration=duration,
-                    ),
-                )
-            )
-            request_id += 1
-            order += 1
-
-        put(session.arrival_minutes, "session_start", movie=session.movie_id)
+        offsets: list[tuple[float, str, int, float]] = [
+            (0.0, "session_start", session.movie_id, 0.0)
+        ]
         for event in session.events:
-            at = session.arrival_minutes + event.at_minutes
-            put(at, _OP_TO_KIND[event.operation], duration=max(event.duration, 1e-9))
-            put(at + max(event.wall_minutes, 0.0), "resume")
+            kind = _OP_TO_KIND[event.operation]
+            offsets.append((event.at_minutes, kind, -1, max(event.duration, 1e-9)))
+            offsets.append((event.at_minutes + max(event.wall_minutes, 0.0), "resume", -1, 0.0))
         ended = session.ended_at_minutes
         if ended is None:
             ended = session.events[-1].at_minutes if session.events else 0.0
-        put(session.arrival_minutes + ended, "session_end")
-    entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
+        offsets.append((ended, "session_end", -1, 0.0))
+        at = session.arrival_minutes
+        for order, (offset, kind, movie, duration) in enumerate(offsets):
+            at = max(at, session.arrival_minutes + offset)
+            request = Request(
+                request_id=request_id,
+                kind=kind,
+                session=session.session_id,
+                movie=movie,
+                duration=duration,
+            )
+            entries.append((at, session.session_id, order, request))
+            request_id += 1
+    entries.sort(key=lambda entry: entry[:3])
     return [TimedRequest(at_minutes=at, request=req) for at, _, _, req in entries]
 
 

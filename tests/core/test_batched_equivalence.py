@@ -1,26 +1,47 @@
-"""Scalar-vs-batched equivalence: every backend must agree bit for bit.
+"""Batched-vs-scalar equivalence: production must equal the oracle bit for bit.
 
-The batched kernels (stdlib and numpy alike) are required to be
-*byte-identical* to the scalar oracle — not approximately equal.  The
-design restricts vectorisation to exactly-rounded IEEE-754 operations
-(+, -, *, /, comparisons) and routes every transcendental through the same
-``math.*`` calls the scalar code makes, so any difference at all is a bug.
+The batched numpy kernels are the only production path for model
+evaluation (``HitProbabilityModel``, ``hit_probability_batch``, the
+``FeasibleSet`` frontier).  The scalar functions —
+:func:`repro.core.hitsets.hit_probability` and each distribution's ``cdf`` —
+are the readable form of the paper's equations and the oracle they must
+reproduce *byte for byte*, not approximately.  The design restricts
+vectorisation to exactly-rounded IEEE-754 operations (+, -, *, /,
+comparisons) and routes every transcendental through the same ``math.*``
+calls the scalar code makes, so any difference at all is a bug.
 Accordingly every assertion here is ``==`` on floats, never ``approx``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hitmodel import HitProbabilityModel, VCRMix
+from repro.core.hitmodel import HitBreakdown, HitProbabilityModel, VCRMix
+from repro.core.hitsets import (
+    CdfTransform,
+    end_probability,
+    hit_probability,
+    hit_probability_batch,
+)
 from repro.core.vcrop import VCROperation
-from repro.distributions import ExponentialDuration, GammaDuration
-from repro.numerics.backend import BACKENDS, use_backend
-from repro.numerics.quadrature import lerp_many
-from repro.sizing.feasible import FeasibleSet, MovieSizingSpec
+from repro.distributions import (
+    DeterministicDuration,
+    EmpiricalDuration,
+    ExponentialDuration,
+    GammaDuration,
+    LognormalDuration,
+    MixtureDuration,
+    ScaledDuration,
+    UniformDuration,
+    WeibullDuration,
+    truncate,
+)
+from repro.sizing.feasible import FeasiblePoint, FeasibleSet, MovieSizingSpec
 
 
 def _model(length, dist, mix=None, include_end_hit=True):
@@ -37,13 +58,59 @@ def _grid(model, length, count=7):
     return configs
 
 
+#: Number types model inputs arrive as: Python floats, or numpy ``float64``
+#: scalars as they come out of a numpy grid.  Both must reach the oracle's
+#: bits, which are always computed from Python floats.
+_NUMBER_TYPES = {"stdlib": float, "numpy": np.float64}
+_number_type = pytest.mark.parametrize(
+    "number", list(_NUMBER_TYPES.values()), ids=list(_NUMBER_TYPES)
+)
+
+
 def _distribution(kind, a, b):
     if kind == "exp":
         return ExponentialDuration(a)
     return GammaDuration(shape=a, scale=b)
 
 
+class _Oracle:
+    """The scalar Eq.-(21) kernels on one model's truncated durations.
+
+    Each operation's :class:`CdfTransform` is built once, as the model does,
+    so the oracle loop stays affordable.
+    """
+
+    def __init__(self, model, include_end_hit=True):
+        self._model = model
+        self._include_end_hit = include_end_hit
+        self._transforms = {
+            op: CdfTransform(model.duration_of(op), model.movie_length)
+            for op in VCROperation
+        }
+
+    def hit(self, op, config):
+        return hit_probability(
+            op,
+            config,
+            self._model.duration_of(op),
+            include_end_hit=self._include_end_hit,
+            transform=self._transforms[op],
+        )
+
+    def breakdown(self, config):
+        ff = VCROperation.FAST_FORWARD
+        return HitBreakdown(
+            p_hit_ff=self.hit(ff, config),
+            p_hit_rw=self.hit(VCROperation.REWIND, config),
+            p_hit_pause=self.hit(VCROperation.PAUSE, config),
+            p_end_ff=end_probability(config, self._model.duration_of(ff)),
+            mix=self._model.mix,
+        )
+
+
 class TestBackendsAgreeBitwise:
+    """The production batched path against the scalar oracle, directly."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         length=st.floats(30.0, 300.0),
@@ -53,56 +120,39 @@ class TestBackendsAgreeBitwise:
         a=st.floats(0.5, 40.0),
         b=st.floats(0.5, 20.0),
     )
-    def test_hit_probability_across_backends(self, length, n, fraction, kind, a, b):
-        dist = _distribution(kind, a, b)
-        values = {}
-        breakdowns = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                model = _model(length, dist)
-                config = model.configuration(n, length * fraction)
-                values[backend] = model.hit_probability(config)
-                breakdowns[backend] = model.breakdown(config)
-        assert values["stdlib"] == values["scalar"]
-        assert values["numpy"] == values["scalar"]
-        assert breakdowns["stdlib"] == breakdowns["scalar"]
-        assert breakdowns["numpy"] == breakdowns["scalar"]
+    def test_hit_probability_equals_oracle(self, length, n, fraction, kind, a, b):
+        model = _model(length, _distribution(kind, a, b))
+        config = model.configuration(n, length * fraction)
+        oracle = _Oracle(model).breakdown(config)
+        assert model.breakdown(config) == oracle
+        assert model.hit_probability(config) == oracle.p_hit
+        for op in VCROperation:
+            assert model.hit_probability_for(op, config) == oracle.probability_of(op)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind,a,b", [("exp", 10.0, 0.0), ("gamma", 2.0, 5.0)])
-    def test_batch_equals_loop_of_scalars(self, backend, kind, a, b):
-        dist = _distribution(kind, a, b)
+    def test_batch_equals_loop_of_scalars(self, kind, a, b):
         length = 120.0
-        with use_backend("scalar"):
-            model = _model(length, dist)
-            configs = _grid(model, length)
-            oracle = [model.hit_probability(c) for c in configs]
-        with use_backend(backend):
-            model = _model(length, dist)
-            configs = _grid(model, length)
-            batch = model.hit_probability_batch(configs)
-            singles = [model.hit_probability(c) for c in configs]
-        assert batch == oracle
-        assert singles == oracle
+        model = _model(length, _distribution(kind, a, b))
+        configs = _grid(model, length)
+        scalar = _Oracle(model)
+        oracle = [scalar.breakdown(c).p_hit for c in configs]
+        assert model.hit_probability_batch(configs) == oracle
+        assert [model.hit_probability(c) for c in configs] == oracle
+        assert [p for _, p in model.hit_curve(range(1, 61, 4), 2.0)] == [
+            scalar.breakdown(model.configuration(n, length - 2.0 * n)).p_hit
+            for n in range(1, 61, 4)
+        ]
 
-    @pytest.mark.parametrize("backend", ["stdlib", "numpy"])
-    def test_per_operation_batch_matches_scalar(self, backend):
+    def test_per_operation_batch_matches_scalar(self):
         length = 120.0
-        dist = GammaDuration.paper_figure7()
-        with use_backend("scalar"):
-            model = _model(length, dist)
-            configs = _grid(model, length)
-            oracle = {
-                op: [model.hit_probability_for(op, c) for c in configs]
-                for op in VCROperation
-            }
-        with use_backend(backend):
-            model = _model(length, dist)
-            configs = _grid(model, length)
-            for op in VCROperation:
-                assert model.hit_probability_for_batch(op, configs) == oracle[op]
+        model = _model(length, GammaDuration.paper_figure7())
+        configs = _grid(model, length)
+        scalar = _Oracle(model)
+        for op in VCROperation:
+            oracle = [scalar.hit(op, c) for c in configs]
+            assert model.hit_probability_for_batch(op, configs) == oracle
+            assert hit_probability_batch(op, configs, model.duration_of(op)) == oracle
 
-    @pytest.mark.parametrize("backend", ["stdlib", "numpy"])
     @pytest.mark.parametrize(
         "n,fraction,include_end_hit",
         [
@@ -114,64 +164,71 @@ class TestBackendsAgreeBitwise:
             (3, 1e-9, True),      # vanishing buffer: near-empty hit sets
         ],
     )
-    def test_degenerate_configurations(self, backend, n, fraction, include_end_hit):
+    def test_degenerate_configurations(self, n, fraction, include_end_hit):
         length = 120.0
-        dist = ExponentialDuration(10.0)
-        with use_backend("scalar"):
-            model = _model(length, dist, include_end_hit=include_end_hit)
-            config = model.configuration(n, length * fraction)
-            oracle = model.breakdown(config)
-        with use_backend(backend):
-            model = _model(length, dist, include_end_hit=include_end_hit)
-            config = model.configuration(n, length * fraction)
-            assert model.breakdown(config) == oracle
-            assert model.breakdown_batch([config]) == [oracle]
+        model = _model(length, ExponentialDuration(10.0), include_end_hit=include_end_hit)
+        config = model.configuration(n, length * fraction)
+        oracle = _Oracle(model, include_end_hit).breakdown(config)
+        assert model.breakdown(config) == oracle
+        assert model.breakdown_batch([config]) == [oracle]
+        for op in VCROperation:
+            assert hit_probability_batch(
+                op, [config], model.duration_of(op), include_end_hit=include_end_hit
+            ) == [oracle.probability_of(op)]
 
-    @pytest.mark.parametrize("backend", ["stdlib", "numpy"])
-    def test_single_operation_mixes(self, backend):
+    @_number_type
+    def test_single_operation_mixes(self, number):
         length = 90.0
         dist = GammaDuration(shape=1.5, scale=8.0)
+        typed_dist = GammaDuration(shape=number(1.5), scale=number(8.0))
         for op in VCROperation:
-            mix = VCRMix.only(op)
-            with use_backend("scalar"):
-                model = _model(length, dist, mix=mix)
-                configs = _grid(model, length, count=4)
-                oracle = model.hit_probability_batch(configs)
-            with use_backend(backend):
-                model = _model(length, dist, mix=mix)
-                configs = _grid(model, length, count=4)
-                assert model.hit_probability_batch(configs) == oracle
+            model = _model(number(length), typed_dist, mix=VCRMix.only(op))
+            configs = _grid(model, number(length), count=4)
+            oracle_model = _model(length, dist, mix=VCRMix.only(op))
+            scalar = _Oracle(oracle_model)
+            oracle = [scalar.hit(op, c) for c in _grid(oracle_model, length, count=4)]
+            assert model.hit_probability_batch(configs) == oracle
 
 
 class TestSizingLayerAgrees:
-    def _spec(self, max_wait=2.0):
+    def _spec(self, max_wait=2.0, number=float):
         return MovieSizingSpec(
             name="movie",
-            length=120.0,
-            max_wait=max_wait,
+            length=number(120.0),
+            max_wait=number(max_wait),
             durations=GammaDuration.paper_figure7(),
             p_star=0.5,
         )
 
-    @pytest.mark.parametrize("backend", ["stdlib", "numpy"])
-    def test_feasible_set_frontier(self, backend):
-        with use_backend("scalar"):
-            oracle_set = FeasibleSet(self._spec())
-            oracle_max = oracle_set.max_streams()
-            oracle = [p.hit_probability for p in oracle_set.curve(range(1, 40, 3))]
-        with use_backend(backend):
-            fs = FeasibleSet(self._spec())
-            assert fs.max_streams() == oracle_max
-            assert [p.hit_probability for p in fs.curve(range(1, 40, 3))] == oracle
+    def _oracle_set(self, spec):
+        """A set warm-started with every point from the scalar oracle.
 
-    @pytest.mark.parametrize("backend", ["stdlib", "numpy"])
-    def test_n_max_one_frontier(self, backend):
+        It never builds a model, so its frontier search runs on oracle
+        values only.
+        """
+        model = spec.build_model()
+        scalar = _Oracle(model)
+        points = []
+        for n in range(1, FeasibleSet(spec).max_possible_streams + 1):
+            buffer_minutes = max(0.0, spec.length - n * spec.max_wait)
+            config = model.configuration(n, buffer_minutes)
+            points.append(FeasiblePoint(n, buffer_minutes, scalar.breakdown(config).p_hit))
+        return FeasibleSet(spec, points=points)
+
+    @_number_type
+    def test_feasible_set_frontier(self, number):
+        oracle = self._oracle_set(self._spec())
+        fs = FeasibleSet(self._spec(number=number))
+        assert fs.max_streams() == oracle.max_streams()
+        ns = range(1, 40, 3)
+        assert fs.curve(ns) == oracle.curve(ns)
+        assert fs.points_by_buffer_step(5.0) == oracle.points_by_buffer_step(5.0)
+
+    @_number_type
+    def test_n_max_one_frontier(self, number):
         # A wait target so lax that a single stream already meets p*.
-        spec = self._spec(max_wait=100.0)
-        with use_backend("scalar"):
-            oracle = FeasibleSet(spec).max_streams()
-        with use_backend(backend):
-            assert FeasibleSet(spec).max_streams() == oracle
+        fs = FeasibleSet(self._spec(max_wait=100.0, number=number))
+        assert fs.max_streams() == self._oracle_set(self._spec(max_wait=100.0)).max_streams()
 
     def test_points_batch_equals_pointwise(self):
         ns = [1, 4, 9, 16, 25]
@@ -180,6 +237,40 @@ class TestSizingLayerAgrees:
         batched = batch_set.points_batch(ns)
         pointwise = [point_set.point(n) for n in ns]
         assert batched == pointwise
+
+
+#: Truncation limit of the truncated families below.
+_LIMIT = 120.0
+#: Inputs every family must get right: zero, negatives, the truncation
+#: limit and its neighbours, subnormals and the smallest normal.
+_EDGE_XS = [
+    0.0,
+    -0.0,
+    -1.0,
+    -1e-300,
+    5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    _LIMIT,
+    math.nextafter(_LIMIT, 0.0),
+    math.nextafter(_LIMIT, math.inf),
+]
+
+_FAMILIES = {
+    "exponential": lambda a, b: ExponentialDuration(a),
+    "gamma": lambda a, b: GammaDuration(shape=a, scale=b),
+    "lognormal": lambda a, b: LognormalDuration(math.log(a), b / 20.0),
+    "weibull": lambda a, b: WeibullDuration(shape=b / 4.0, scale=a),
+    "uniform": lambda a, b: UniformDuration(0.0, a + b),
+    "deterministic": lambda a, b: DeterministicDuration(a),
+    "empirical": lambda a, b: EmpiricalDuration([a, b, a + b, 2.0 * a]),
+    "mixture": lambda a, b: MixtureDuration(
+        [ExponentialDuration(a), GammaDuration(shape=2.0, scale=b)], [0.3, 0.7]
+    ),
+    "scaled": lambda a, b: ScaledDuration(GammaDuration(shape=2.0, scale=b), a / 10.0),
+    "truncated-exponential": lambda a, b: truncate(ExponentialDuration(a * 10.0), _LIMIT),
+    "truncated-gamma": lambda a, b: truncate(GammaDuration(shape=a, scale=b * 10.0), _LIMIT),
+}
 
 
 class TestDistributionBatchKernels:
@@ -195,18 +286,16 @@ class TestDistributionBatchKernels:
     def test_cdf_batch_list_and_ndarray_match_scalar(self, dist):
         xs = [-1.0, 0.0, 1e-12, 0.5, 3.7, 12.0, 55.0, 119.0, 200.0]
         scalar = [dist.cdf(x) for x in xs]
-        assert dist.cdf_batch(xs) == scalar
-        out = dist.cdf_batch(np.asarray(xs, dtype=float))
-        assert isinstance(out, np.ndarray)
-        assert out.tolist() == scalar
+        for batch_in in (xs, np.asarray(xs, dtype=float)):
+            out = dist.cdf_batch(batch_in)
+            assert isinstance(out, np.ndarray)
+            assert out.tolist() == scalar
 
     def test_truncated_cdf_batch_paths_match(self):
-        from repro.distributions import truncate
-
         dist = truncate(ExponentialDuration(30.0), 120.0)
         xs = [-5.0, 0.0, 1.0, 60.0, 119.9999, 120.0, 500.0]
         scalar = [dist.cdf(x) for x in xs]
-        assert dist.cdf_batch(xs) == scalar
+        assert dist.cdf_batch(xs).tolist() == scalar
         assert dist.cdf_batch(np.asarray(xs, dtype=float)).tolist() == scalar
 
     @settings(max_examples=40, deadline=None)
@@ -217,25 +306,49 @@ class TestDistributionBatchKernels:
     def test_exponential_cdf_batch_property(self, xs, mean):
         dist = ExponentialDuration(mean)
         scalar = [dist.cdf(x) for x in xs]
-        assert dist.cdf_batch(xs) == scalar
+        assert dist.cdf_batch(xs).tolist() == scalar
         assert dist.cdf_batch(np.asarray(xs, dtype=float)).tolist() == scalar
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_FAMILIES)),
+        a=st.floats(0.5, 40.0),
+        b=st.floats(0.5, 20.0),
+        xs=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_XS),
+                st.floats(-10.0, 400.0),
+                st.floats(0.0, 1e-300, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_every_family_cdf_batch_matches_scalar(self, family, a, b, xs):
+        dist = _FAMILIES[family](a, b)
+        values = dist.cdf_batch(np.asarray(xs, dtype=float))
+        assert isinstance(values, np.ndarray)
+        for k, x in enumerate(xs):
+            assert values[k] == dist.cdf(x), (family, x)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_every_family_edge_inputs(self, family):
+        dist = _FAMILIES[family](7.5, 4.0)
+        values = dist.cdf_batch(np.asarray(_EDGE_XS))
+        assert values.tolist() == [dist.cdf(x) for x in _EDGE_XS]
 
 
 class TestInterpolationKernel:
     @settings(max_examples=40, deadline=None)
     @given(
-        knots=st.integers(2, 40),
-        queries=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20),
-        seed=st.integers(0, 2**31 - 1),
+        queries=st.lists(st.floats(-20.0, 140.0), min_size=1, max_size=30),
+        kind=st.sampled_from(["exp", "gamma"]),
+        a=st.floats(0.5, 40.0),
+        b=st.floats(0.5, 20.0),
     )
-    def test_lerp_many_matches_np_interp(self, knots, queries, seed):
-        rng = np.random.default_rng(seed)
-        xp = np.sort(rng.uniform(0.0, 1.0, size=knots))
-        xp[0], xp[-1] = 0.0, 1.0
-        fp = rng.uniform(-5.0, 5.0, size=knots)
-        xp_list = [float(x) for x in xp]
-        fp_list = [float(f) for f in fp]
-        clipped = [min(1.0, max(0.0, q)) for q in queries]
-        ours = lerp_many(clipped, xp_list, fp_list)
-        theirs = np.interp(np.asarray(clipped, dtype=float), xp, fp)
-        assert ours == theirs.tolist()
+    def test_transform_many_matches_scalar(self, queries, kind, a, b):
+        transform = CdfTransform(truncate(_distribution(kind, a, b), 120.0), 120.0, 257)
+        cs = np.asarray(queries, dtype=float)
+        assert transform.F_many(cs).tolist() == [transform.F(c) for c in queries]
+        assert transform.G_many(cs).tolist() == [transform.G(c) for c in queries]
+        assert transform.H_many(cs).tolist() == [transform.H(c) for c in queries]

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure8 import run_figure8
+from repro.cli import main as cli_main
+from repro.core.hitsets import hit_probability
+from repro.core.vcrop import VCROperation
+from repro.experiments.figure8 import figure8_tasks, run_figure8
 from repro.experiments.figure9 import run_figure9
 from repro.experiments.registry import run_experiment
 from repro.parallel.executor import fork_available
@@ -42,22 +45,43 @@ class TestFigure9Determinism:
         assert parallel.parallel_outcome.tasks == 6
 
 
-class TestBackendDeterminism:
-    def test_figure8_byte_identical_across_backends_and_workers(self):
-        # The scalar oracle, serially, is the reference; every batched
-        # backend at every worker count must reproduce its CSVs byte for
-        # byte.  (Workers inherit the active backend through fork.)
-        from repro.numerics.backend import use_backend
+@pytest.fixture(scope="module")
+def scalar_figure8_csvs() -> list[str]:
+    """The ``run figure8 --fast`` tables, computed with the scalar oracle.
 
-        with use_backend("scalar"):
-            oracle = run_figure8(fast=True, workers=1)
-        for backend in ("stdlib", "numpy"):
-            with use_backend(backend):
-                for workers in (1, 2):
-                    result = run_figure8(fast=True, workers=workers)
-                    for a, b in zip(oracle.tables, result.tables):
-                        assert a.to_csv() == b.to_csv()
-                    assert result.render() == oracle.render()
+    Every P(hit) comes straight from :func:`repro.core.hitsets.hit_probability`
+    and is mixed by Eq. (22); rows and formatting follow the CLI's CSV.
+    """
+    csvs = []
+    for task in figure8_tasks(fast=True):
+        spec = task.spec
+        model = spec.build_model()
+        lines = ["B_minutes,n,P(hit),feasible"]
+        for n in task.stream_counts:
+            buffer_minutes = max(0.0, spec.length - n * spec.max_wait)
+            config = model.configuration(n, buffer_minutes)
+            p_hit = 0.0
+            for op in VCROperation:
+                p_hit += spec.mix.probability_of(op) * hit_probability(
+                    op, config, model.duration_of(op)
+                )
+            feasible = "yes" if p_hit >= spec.p_star - 1e-12 else "no"
+            lines.append(f"{buffer_minutes:.4f},{n},{p_hit:.4f},{feasible}")
+        csvs.append("\n".join(lines) + "\n")
+    return csvs
+
+
+class TestFigure8ScalarOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cli_csv_equals_scalar_grid(self, tmp_path, workers, scalar_figure8_csvs):
+        out = tmp_path / f"workers-{workers}"
+        assert cli_main(
+            ["run", "figure8", "--fast", "--workers", str(workers), "--csv", str(out)]
+        ) == 0
+        written = [
+            (out / f"figure8_{index}.csv").read_text() for index in range(3)
+        ]
+        assert written == scalar_figure8_csvs
 
 
 class TestRegistryKnob:

@@ -6,6 +6,8 @@ import asyncio
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.service.bootstrap import (
@@ -24,6 +26,8 @@ from repro.service.loadgen import (
     run_wall,
 )
 from repro.service.server import AdmissionService
+from repro.vod.vcr import VCRBehavior
+from repro.workloads.generator import WorkloadGenerator
 
 
 def make_deployment(seed=1234):
@@ -73,6 +77,31 @@ class TestTimeline:
     def test_compile_deterministic(self):
         *_, trace = make_deployment()
         assert compile_timeline(trace) == compile_timeline(trace)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        movie_length=st.floats(20.0, 150.0),
+        arrival_rate=st.floats(0.2, 3.0),
+    )
+    def test_sessions_stay_ordered_and_end_last(self, seed, movie_length, arrival_rate):
+        # Figure-7 VCR traffic: a resume must never round past its own
+        # session_end, and no session's requests may reorder.
+        trace = WorkloadGenerator.single_movie(
+            movie_length, VCRBehavior.paper_figure7(), arrival_rate, seed=seed
+        ).generate(60.0)
+        by_session: dict[int, list] = {}
+        for timed in compile_timeline(trace):
+            by_session.setdefault(timed.request.session, []).append(timed)
+        assert len(by_session) == len(trace.sessions)
+        for requests in by_session.values():
+            times = [t.at_minutes for t in requests]
+            ids = [t.request.request_id for t in requests]
+            kinds = [t.request.kind for t in requests]
+            assert times == sorted(times)
+            assert ids == sorted(ids)
+            assert kinds[0] == "session_start"
+            assert kinds[-1] == "session_end" and "session_end" not in kinds[:-1]
 
 
 class TestVirtualDeterminism:

@@ -22,6 +22,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nope"])
 
+    def test_removed_backend_flag_is_an_argparse_error(self, capsys):
+        # The model has one evaluation path: a backend flag is a usage error
+        # (exit 2, message on stderr), never silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend=numpy", "hit", "--length", "120", "--streams", "30",
+                  "--buffer", "90"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --backend=numpy" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+        # Space-separated, argparse reads the value as the command name.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", "numpy", "list"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-vod: error:" in err and "Traceback" not in err
+
     def test_hit_duration_json(self):
         args = build_parser().parse_args(
             ["hit", "--length", "120", "--streams", "30", "--buffer", "90",

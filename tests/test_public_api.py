@@ -107,3 +107,11 @@ def test_public_class_methods_documented():
 def test_version_exported():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") == 2
+
+
+def test_no_numerics_backend_switch():
+    """Model evaluation has one path: the old process-global backend
+    selector module is gone, not merely unused."""
+    assert "repro.numerics.backend" not in MODULES
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.numerics.backend")

@@ -126,6 +126,9 @@ class HitProbabilityModel:
         operations (the paper's Figure 7 setup) or a mapping from
         :class:`VCROperation` to distributions.  Distributions whose support
         extends past ``l`` are truncated and renormalised automatically.
+        Each distinct distribution object is truncated once and gets one
+        :class:`~repro.core.hitsets.CdfTransform`, shared by every
+        operation mapped to it (matched by identity, not equality).
     mix:
         The VCR request mix; defaults to Figure 7(d)'s
         ``(0.2, 0.2, 0.6)``.
@@ -160,13 +163,14 @@ class HitProbabilityModel:
         missing = [op for op in VCROperation if op not in durations]
         if missing:
             raise ConfigurationError(f"missing duration distributions for {missing}")
-        self._durations = {
-            op: truncate(dist, self._movie_length) for op, dist in durations.items()
-        }
-        self._transforms = {
-            op: CdfTransform(dist, self._movie_length)
-            for op, dist in self._durations.items()
-        }
+        prepared: dict[int, tuple[DurationDistribution, CdfTransform]] = {}
+        self._durations: dict[VCROperation, DurationDistribution] = {}
+        self._transforms: dict[VCROperation, CdfTransform] = {}
+        for op, dist in durations.items():
+            if id(dist) not in prepared:
+                truncated = truncate(dist, self._movie_length)
+                prepared[id(dist)] = (truncated, CdfTransform(truncated, self._movie_length))
+            self._durations[op], self._transforms[op] = prepared[id(dist)]
 
     # ------------------------------------------------------------------
     # Accessors.

@@ -213,7 +213,9 @@ class CdfTransform:
     """Precomputed grid evaluation of ``F``, ``G = ∫_0^c F`` and ``H``.
 
     Built once per (distribution, movie length) pair; every subsequent query
-    is an O(log grid) interpolation.  ``H`` is the closed-form kernel of the
+    is an O(log grid) interpolation.  The grid's CDF values come from one
+    ``cdf_batch`` call, which every family keeps bit-for-bit equal to its
+    scalar ``cdf``.  ``H`` is the closed-form kernel of the
     ``V_c``-unconditioning described in the module docstring.
     """
 
@@ -237,7 +239,7 @@ class CdfTransform:
         self._duration = duration
         self._length = float(movie_length)
         self._xs = np.linspace(0.0, self._length, grid_points)
-        self._fs = np.asarray([duration.cdf(float(x)) for x in self._xs])
+        self._fs = duration.cdf_batch(self._xs)
         # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.  Only G needs the
         # grid; F is evaluated exactly so point masses are not smeared.
         widths = np.diff(self._xs)

@@ -66,7 +66,7 @@ class DurationDistribution(ABC):
 
         The batched-model hook.  The base implementation is the scalar CDF
         in a loop, so every family is batchable by construction.  Families
-        with a cheaper whole-batch evaluation (exponential, gamma,
+        with a cheaper whole-batch evaluation (exponential, gamma, empirical,
         truncations) override this; every override is required to be
         *bit-for-bit* equal to the scalar ``cdf`` element by element — the
         batched hit model relies on that to stay byte-identical with the

@@ -75,6 +75,15 @@ class EmpiricalDuration(DurationDistribution):
             return 1.0
         return float(np.interp(x, self._knots, self._probs))
 
+    def cdf_batch(self, xs):
+        # One interpolation over the batch.  numpy's interp applies the same
+        # slope formula whether or not it precomputes the slope table (it
+        # does for batches at least as long as the knot array), so every
+        # element equals the scalar call.  The clamps of ``cdf`` need no
+        # masks: interp returns the end values probs[0] = 0.0 and
+        # probs[-1] = 1.0 at and beyond the end knots.
+        return np.interp(np.asarray(xs, dtype=float).reshape(-1), self._knots, self._probs)
+
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return super().ppf(q)

@@ -158,12 +158,7 @@ class TruncatedDuration(DurationDistribution):
             return self._mean_cache
         from repro.numerics.quadrature import gauss_legendre
 
-        integral_cdf = gauss_legendre(
-            lambda xs: np.asarray([self._base.cdf(float(x)) for x in np.atleast_1d(xs)]),
-            0.0,
-            self._limit,
-            num_nodes=64,
-        )
+        integral_cdf = gauss_legendre(self._base.cdf_batch, 0.0, self._limit, num_nodes=64)
         value = (self._limit * self._mass - integral_cdf) / self._mass
         self._mean_cache = value
         entry = _invariant_entry(self._invariant_key_cache)

@@ -43,7 +43,10 @@ def bisect(
         fmid = float(func(mid))
         if fmid == 0.0 or (hi - lo) / 2.0 < tol:
             return mid
-        if flo * fmid < 0.0:
+        # Compare signs, not the product: flo * fmid underflows to -0.0
+        # when both values are tiny (a subnormal root) and would steer the
+        # search away from the root.
+        if flo < 0.0 < fmid or fmid < 0.0 < flo:
             hi = mid
         else:
             lo, flo = mid, fmid

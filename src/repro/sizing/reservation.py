@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.hitmodel import HitBreakdown, HitProbabilityModel
 from repro.core.parameters import SystemConfiguration
@@ -133,7 +134,7 @@ class VCRLoadModel:
         included as an arrival whose service is pure phase-2 hold.
         """
         mix = self.model.mix
-        breakdown = self._breakdown()
+        breakdown = self._breakdown
         pause_miss = mix.p_pause * (1.0 - breakdown.p_hit_pause)
         return self.vcr_request_rate * (mix.p_ff + mix.p_rw + pause_miss)
 
@@ -162,7 +163,7 @@ class VCRLoadModel:
         probability.
         """
         mix = self.model.mix
-        breakdown = self._breakdown()
+        breakdown = self._breakdown
         phase2 = self.phase2_model().mean_hold()
         ff_hold = self.phase1_mean_minutes(VCROperation.FAST_FORWARD) + (
             1.0 - breakdown.p_hit_ff
@@ -196,10 +197,13 @@ class VCRLoadModel:
             achieved_blocking=erlang_b(reserve, load),
             mean_hold_minutes=self.mean_hold_minutes(),
             stream_request_rate=self.stream_request_rate(),
-            hit_probability=self._breakdown().p_hit,
+            hit_probability=self._breakdown.p_hit,
         )
 
+    @cached_property
     def _breakdown(self) -> HitBreakdown:
+        # Evaluated once per load model: the load, the mean hold and the
+        # plan all read the same breakdown.
         return self.model.breakdown(self.config)
 
 

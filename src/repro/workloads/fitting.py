@@ -52,7 +52,7 @@ def ks_distance(samples: Sequence[float], dist: DurationDistribution) -> float:
     if data.size == 0:
         raise ConfigurationError("KS distance needs at least one sample")
     n = data.size
-    cdf_values = np.asarray([dist.cdf(float(x)) for x in data])
+    cdf_values = dist.cdf_batch(data)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(upper - cdf_values), np.abs(cdf_values - lower))))

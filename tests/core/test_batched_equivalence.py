@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.hitmodel import HitBreakdown, HitProbabilityModel, VCRMix
 from repro.core.hitsets import (
+    DEFAULT_GRID_POINTS,
     CdfTransform,
     end_probability,
     hit_probability,
@@ -42,6 +43,7 @@ from repro.distributions import (
     truncate,
 )
 from repro.sizing.feasible import FeasiblePoint, FeasibleSet, MovieSizingSpec
+from repro.workloads.fitting import ks_distance
 
 
 def _model(length, dist, mix=None, include_end_hit=True):
@@ -352,3 +354,183 @@ class TestInterpolationKernel:
         assert transform.F_many(cs).tolist() == [transform.F(c) for c in queries]
         assert transform.G_many(cs).tolist() == [transform.G(c) for c in queries]
         assert transform.H_many(cs).tolist() == [transform.H(c) for c in queries]
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality of two float arrays (tells -0.0 from 0.0; NaN-safe)."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _scalar_grid_transform(duration, length):
+    """A transform whose grid is built the pre-batching way: one scalar
+    ``cdf`` call per grid point, then the same trapezoid cumsum."""
+    reference = CdfTransform(duration, length)
+    xs = np.linspace(0.0, float(length), DEFAULT_GRID_POINTS)
+    fs = np.asarray([duration.cdf(float(x)) for x in xs])
+    gs = np.concatenate(([0.0], np.cumsum(0.5 * (fs[1:] + fs[:-1]) * np.diff(xs))))
+    reference._fs = fs
+    reference._gs = gs
+    reference._g_total = float(gs[-1])
+    return reference
+
+
+class TestCdfBatchGrid:
+    """``CdfTransform`` builds its grid with ``cdf_batch``; the old scalar
+    grid is the reference it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("params", [(7.5, 4.0), (31.0, 17.5)], ids=str)
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_transform_matches_scalar_grid(self, family, params):
+        duration = truncate(_FAMILIES[family](*params), _LIMIT)
+        transform = CdfTransform(duration, _LIMIT)
+        reference = _scalar_grid_transform(duration, _LIMIT)
+        grid = np.linspace(0.0, _LIMIT, DEFAULT_GRID_POINTS)
+        rng = np.random.default_rng(1997)
+        cs = np.concatenate(
+            (
+                grid,
+                0.5 * (grid[1:] + grid[:-1]),
+                rng.uniform(-5.0, _LIMIT + 5.0, 200),
+                np.asarray(_EDGE_XS),
+            )
+        )
+        assert _same_bits(transform._fs, reference._fs)
+        assert _same_bits(transform.F_many(cs), reference.F_many(cs))
+        assert _same_bits(transform.G_many(cs), reference.G_many(cs))
+        assert _same_bits(transform.H_many(cs), reference.H_many(cs))
+        assert transform.total_mass == reference.total_mass
+        assert transform.end_mass() == reference.end_mass()
+
+
+def _gamma_empirical(extra=()):
+    samples = np.random.default_rng(42).gamma(2.0, 6.0, size=300)
+    return EmpiricalDuration(np.concatenate((samples, np.asarray(extra, dtype=float))))
+
+
+class TestEmpiricalCdfBatch:
+    """One ``np.interp`` over the batch equals the scalar ``cdf`` per point,
+    on both of numpy's interp branches (with and without its slope table)."""
+
+    @pytest.mark.parametrize(
+        "extra", [(), (0.0, 5e-324, 1e-310)], ids=["gamma", "gamma+subnormal-knots"]
+    )
+    def test_matches_scalar_at_knots_edges_and_nan(self, extra):
+        dist = _gamma_empirical(extra)
+        knots = dist._knots
+        assert knots.size >= 200
+        rng = np.random.default_rng(5)
+        special = np.asarray(
+            [
+                knots[0] - 1.0,
+                0.5 * knots[0],
+                math.nextafter(knots[0], -math.inf),
+                math.nextafter(knots[-1], math.inf),
+                knots[-1] + 1.0,
+                0.0,
+                -0.0,
+                5e-324,
+                1e-310,
+                2.2250738585072014e-308,
+                math.nan,
+                -math.inf,
+                math.inf,
+            ]
+        )
+        inside = rng.uniform(knots[0], knots[-1], 40)
+        long_batch = np.concatenate((knots, special, inside, 0.5 * (knots[1:] + knots[:-1])))
+        short_batch = np.concatenate((special, inside[:5], knots[:3], knots[-3:]))
+        assert long_batch.size > knots.size > short_batch.size
+        for batch in (long_batch, short_batch):
+            expected = [dist.cdf(float(x)) for x in batch]
+            assert _same_bits(dist.cdf_batch(batch), expected)
+            assert _same_bits(dist.cdf_batch(batch.tolist()), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(
+            st.one_of(
+                st.floats(-5.0, 80.0),
+                st.sampled_from(_EDGE_XS),
+                st.floats(0.0, 1e-300, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+    )
+    def test_random_knot_sets(self, seed, queries):
+        rng = np.random.default_rng(seed)
+        dist = EmpiricalDuration(rng.gamma(2.0, 6.0, size=int(rng.integers(2, 300))))
+        xs = np.asarray(queries + dist._knots.tolist(), dtype=float)
+        for batch in (xs, xs[: len(queries)]):
+            assert _same_bits(dist.cdf_batch(batch), [dist.cdf(float(x)) for x in batch])
+
+
+def _ks_scalar(samples, dist):
+    """The pre-batching ``ks_distance``: one scalar ``cdf`` call per sample."""
+    data = np.sort(np.asarray(samples, dtype=float))
+    n = data.size
+    cdf_values = np.asarray([dist.cdf(float(x)) for x in data])
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(np.max(np.maximum(np.abs(upper - cdf_values), np.abs(cdf_values - lower))))
+
+
+class TestKsDistanceBatch:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_matches_scalar_loop(self, family):
+        dist = _FAMILIES[family](7.5, 4.0)
+        rng = np.random.default_rng(11)
+        samples = np.concatenate(
+            (np.atleast_1d(dist.sample(rng, 120)), [0.0, 7.5, 2.0 * _LIMIT])
+        )
+        assert ks_distance(samples, dist) == _ks_scalar(samples, dist)
+        empirical = EmpiricalDuration(samples)
+        assert ks_distance(samples, empirical) == _ks_scalar(samples, empirical)
+
+
+class TestSharedTransforms:
+    """One truncation and one transform per distinct distribution object."""
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        built = []
+        original = CdfTransform.__init__
+
+        def spy(self, duration, *args, **kwargs):
+            built.append(duration)
+            original(self, duration, *args, **kwargs)
+
+        monkeypatch.setattr(CdfTransform, "__init__", spy)
+        return built
+
+    def test_one_distribution_builds_one_transform(self, monkeypatch):
+        built = self._count_transforms(monkeypatch)
+        model = HitProbabilityModel(120.0, ExponentialDuration(20.0))
+        assert len(built) == 1
+        assert all(model.duration_of(op) is built[0] for op in VCROperation)
+
+    def test_shared_object_in_a_mapping_is_matched_by_identity(self, monkeypatch):
+        built = self._count_transforms(monkeypatch)
+        seek = GammaDuration(shape=2.0, scale=8.0)
+        HitProbabilityModel(
+            120.0,
+            {
+                VCROperation.FAST_FORWARD: seek,
+                VCROperation.REWIND: seek,
+                VCROperation.PAUSE: ExponentialDuration(10.0),
+            },
+        )
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("kind", ["exp", "gamma"])
+    def test_equal_instances_keep_their_own_transforms(self, monkeypatch, kind):
+        built = self._count_transforms(monkeypatch)
+        shared = _model(120.0, _distribution(kind, 20.0, 6.0))
+        assert len(built) == 1
+        distinct = _model(
+            120.0, {op: _distribution(kind, 20.0, 6.0) for op in VCROperation}
+        )
+        assert len(built) == 4
+        configs = _grid(shared, 120.0)
+        assert shared.breakdown_batch(configs) == distinct.breakdown_batch(configs)

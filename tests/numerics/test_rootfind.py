@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NumericsError
@@ -84,6 +84,7 @@ class TestFindBracket:
     slope=st.floats(0.1, 10),
     halfwidth=st.floats(0.5, 100),
 )
+@example(root=5e-324, slope=1.0, halfwidth=1.0)
 def test_solvers_recover_planted_root(root, slope, halfwidth):
     lo, hi = root - halfwidth, root + halfwidth
     f = lambda x: slope * (x - root)

@@ -13,6 +13,7 @@ from repro.core.vcrop import VCROperation
 from repro.distributions import GammaDuration
 from repro.exceptions import ConfigurationError, SizingError
 from repro.sizing.reservation import (
+    ReservationPlan,
     VCRLoadModel,
     erlang_b,
     min_servers_for_blocking,
@@ -146,3 +147,55 @@ class TestVCRLoadModel:
                 load_model.model, load_model.config,
                 viewer_arrival_rate=0.5, mean_think_time=0.0,
             )
+
+
+class TestSingleBreakdown:
+    """A load model evaluates its hit breakdown once and reuses it."""
+
+    def test_plan_evaluates_the_breakdown_once(self):
+        model = HitProbabilityModel(
+            120.0, GammaDuration.paper_figure7(), mix=VCRMix.paper_figure7d()
+        )
+        config = model.configuration(30, 90.0)
+        calls = []
+        breakdown = model.breakdown
+
+        def counting(cfg):
+            calls.append(cfg)
+            return breakdown(cfg)
+
+        model.breakdown = counting
+        load = VCRLoadModel(model, config, viewer_arrival_rate=0.5, mean_think_time=15.0)
+        plan = load.plan(blocking_target=0.01)
+        load.offered_load()
+        assert calls == [config]
+
+        # The same plan, field by field, from one uncached breakdown.
+        fresh = HitProbabilityModel(
+            120.0, GammaDuration.paper_figure7(), mix=VCRMix.paper_figure7d()
+        ).breakdown(config)
+        mix = model.mix
+        request_rate = load.vcr_request_rate * (
+            mix.p_ff + mix.p_rw + mix.p_pause * (1.0 - fresh.p_hit_pause)
+        )
+        phase2 = load.phase2_model().mean_hold()
+        weights = [mix.p_ff, mix.p_rw, mix.p_pause * (1.0 - fresh.p_hit_pause)]
+        holds = [
+            load.phase1_mean_minutes(VCROperation.FAST_FORWARD)
+            + (1.0 - fresh.p_hit_ff) * phase2,
+            load.phase1_mean_minutes(VCROperation.REWIND)
+            + (1.0 - fresh.p_hit_rw) * phase2,
+            phase2,
+        ]
+        mean_hold = sum(w * h for w, h in zip(weights, holds)) / sum(weights)
+        offered = request_rate * mean_hold
+        reserve = min_servers_for_blocking(offered, 0.01)
+        assert plan == ReservationPlan(
+            offered_load=offered,
+            reserve_streams=reserve,
+            blocking_target=0.01,
+            achieved_blocking=erlang_b(reserve, offered),
+            mean_hold_minutes=mean_hold,
+            stream_request_rate=request_rate,
+            hit_probability=fresh.p_hit,
+        )

@@ -27,7 +27,11 @@ def log_gamma(a: float) -> float:
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """Series representation of P(a, x); converges quickly for x < a + 1."""
+    """Series representation of P(a, x); converges quickly for x < a + 1.
+
+    Called only with ``a > 0`` and ``x > 0``, so ``term`` and ``total`` are
+    never negative and the convergence test needs no ``abs()``.
+    """
     ap = a
     total = 1.0 / a
     term = total
@@ -35,7 +39,7 @@ def _gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:
             return total * math.exp(-x + a * math.log(x) - log_gamma(a))
     raise NumericsError(f"incomplete gamma series failed to converge for a={a}, x={x}")
 

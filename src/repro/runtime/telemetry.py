@@ -181,8 +181,9 @@ class MovieTelemetry:
         if total <= 0.0:
             return None
         p_ff, p_rw, p_pause = (w / total for w in weights)
-        # Guard the mix invariant against floating error in the division.
-        return VCRMix(p_ff=p_ff, p_rw=p_rw, p_pause=1.0 - p_ff - p_rw)
+        # Guard the mix invariant against floating error in the division:
+        # with no pause seen, 1 - p_ff - p_rw can round to about -5.6e-17.
+        return VCRMix(p_ff=p_ff, p_rw=p_rw, p_pause=max(0.0, 1.0 - p_ff - p_rw))
 
     def mean_think_time(self, now: float) -> float | None:
         """Censoring-corrected think-time estimate: exposure over events."""

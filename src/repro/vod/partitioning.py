@@ -15,6 +15,7 @@ benchmarks measure.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -49,7 +50,16 @@ class LiveStream:
 
 
 class MovieService:
-    """Runs the restart schedule and partition bookkeeping for one movie."""
+    """Runs the restart schedule and partition bookkeeping for one movie.
+
+    The live restarts are kept in start order, which makes every window
+    query a bisection instead of a scan: a stream's playhead
+    ``(now - start) * rate`` never increases with ``start`` (IEEE rounding
+    is monotone), and neither do its leading edge ``min(playhead, l)`` and
+    trailing edge ``playhead - span``.  So a test of the form "edge >= x"
+    holds on a prefix of the list and "edge <= x" on a suffix, whatever
+    the span, spacing or clock.
+    """
 
     def __init__(
         self,
@@ -71,6 +81,9 @@ class MovieService:
         self._streams = streams
         self._metrics = metrics
         self._tracer = tracer if tracer is not None and tracer.enabled else None
+        # Ordered by start_time: restarts are appended at env.now, which
+        # never decreases, and removals keep the order.  The queries below
+        # bisect on that order.
         self._live: list[LiveStream] = []
         self._restart_signal: Event = env.event()
         self._started = False
@@ -213,19 +226,62 @@ class MovieService:
 
         The window is ``[playhead − span, min(playhead, l)]`` — the leading
         edge saturates at the end of the movie while the buffered tail is
-        drained by the partition's last viewers.
+        drained by the partition's last viewers.  Streams that pass the
+        leading-edge test form a prefix of the start-ordered live list, so
+        the youngest candidate is that prefix's last stream; it covers
+        ``position`` iff it also passes the trailing-edge test.  Of several
+        streams with equal start times the first one wins.
         """
+        live = self._live
+        now = self._env.now
+        playback = self.config.rates.playback
+        length = self.movie.length
+        lower = position - _TOL
+        end = bisect_left(
+            live, True, key=lambda s: not lower <= min(s.playhead(now, playback), length)
+        )
+        if end == 0:
+            return None
+        youngest = live[end - 1]
+        if youngest.playhead(now, playback) - self.config.partition_span > position + _TOL:
+            return None
+        first = bisect_left(live, youngest.start_time, hi=end - 1, key=lambda s: s.start_time)
+        return live[first]
+
+    def live_gaps(self, position: float) -> tuple[float | None, float | None]:
+        """Gaps from ``position`` to the nearest partitions, ``(ahead, behind)``.
+
+        ``ahead`` is the distance up to the closest trailing edge above the
+        position, ``behind`` the distance back to the closest leading edge
+        below it; ``None`` when no partition lies on that side.  Restarts
+        whose playhead is still negative count for neither.  Both edges are
+        found by bisection: "trailing edge above" holds on a prefix of the
+        start-ordered list (its last stream is nearest), "leading edge
+        below" on a suffix (its first stream is nearest).
+        """
+        live = self._live
         now = self._env.now
         playback = self.config.rates.playback
         span = self.config.partition_span
-        best: Optional[LiveStream] = None
-        for stream in self._live:
+        length = self.movie.length
+
+        def trailing_above(stream: LiveStream) -> bool:
             playhead = stream.playhead(now, playback)
-            leading = min(playhead, self.movie.length)
-            if position - _TOL <= leading and playhead - span <= position + _TOL:
-                if best is None or stream.start_time > best.start_time:
-                    best = stream
-        return best
+            return playhead >= 0.0 and max(0.0, playhead - span) > position
+
+        ahead: float | None = None
+        end = bisect_left(live, True, key=lambda s: not trailing_above(s))
+        if end:
+            ahead = max(0.0, live[end - 1].playhead(now, playback) - span) - position
+        behind: float | None = None
+        start = bisect_left(
+            live, True, key=lambda s: min(s.playhead(now, playback), length) < position
+        )
+        if start < len(live):
+            playhead = live[start].playhead(now, playback)
+            if playhead >= 0.0:
+                behind = position - min(playhead, length)
+        return ahead, behind
 
     def enrollment_open(self) -> bool:
         """Can a new arrival start reading position 0 from a partition now?"""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import ResourceError, StreamAccountingError
 from repro.sim.engine import Environment
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import MetricsRegistry, TimeWeighted
 from repro.sim.resources import Resource, ResourceRequest
 
 __all__ = ["StreamPurpose", "StreamGrant", "StreamPool", "REVOCATION_ORDER"]
@@ -85,9 +85,12 @@ class StreamPool:
         self._held: dict[StreamPurpose, int] = {purpose: 0 for purpose in StreamPurpose}
         self._live: dict[int, StreamGrant] = {}
         self._next_token = 0
-        for purpose in StreamPurpose:
-            self._metrics.time_weighted(f"streams.{purpose.value}", now=env.now)
-        self._metrics.time_weighted("streams.total", now=env.now)
+        # Held by reference: ``MetricsRegistry.reset_all`` resets them in place.
+        self._occupancy: dict[StreamPurpose, TimeWeighted] = {
+            purpose: self._metrics.time_weighted(f"streams.{purpose.value}", now=env.now)
+            for purpose in StreamPurpose
+        }
+        self._occupancy_total = self._metrics.time_weighted("streams.total", now=env.now)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -268,5 +271,5 @@ class StreamPool:
     def _account(self) -> None:
         now = self._env.now
         for purpose, count in self._held.items():
-            self._metrics.time_weighted(f"streams.{purpose.value}", now=now).update(now, count)
-        self._metrics.time_weighted("streams.total", now=now).update(now, self._resource.in_use)
+            self._occupancy[purpose].update(now, count)
+        self._occupancy_total.update(now, self._resource.in_use)

@@ -264,7 +264,7 @@ class PopularViewer:
         service = self._service
         rates = service.config.rates
         length = service.movie.length
-        gap_ahead, gap_behind = self._live_gaps()
+        gap_ahead, gap_behind = service.live_gaps(self.position)
         minutes_to_end = (length - self.position) / rates.playback
         plan = self._piggyback.plan_from_gaps(
             gap_ahead, gap_behind, minutes_to_end, playback_rate=rates.playback
@@ -286,30 +286,6 @@ class PopularViewer:
         self._streams.release(grant)
         return True
 
-    def _live_gaps(self) -> tuple[float | None, float | None]:
-        """Gaps to the nearest partitions, measured on the *actual* streams."""
-        now = self._env.now
-        playback = self._service.config.rates.playback
-        span = self._service.config.partition_span
-        length = self._service.movie.length
-        ahead: float | None = None
-        behind: float | None = None
-        for stream in self._service.live_streams:
-            playhead = stream.playhead(now, playback)
-            if playhead < 0.0:
-                continue
-            leading = min(playhead, length)
-            trailing = max(0.0, playhead - span)
-            if trailing > self.position:
-                gap = trailing - self.position
-                if ahead is None or gap < ahead:
-                    ahead = gap
-            if leading < self.position:
-                gap = self.position - leading
-                if behind is None or gap < behind:
-                    behind = gap
-        return ahead, behind
-
     def _wait_until_covered(self) -> Generator[Event, object, None]:
         """Block (no resources held) until a partition covers the position."""
         env = self._env
@@ -318,7 +294,7 @@ class PopularViewer:
         while True:
             if service.find_window(self.position) is not None:
                 return
-            _, behind = self._live_gaps()
+            _, behind = service.live_gaps(self.position)
             if behind is not None:
                 # The nearest stream behind sweeps forward to the position.
                 yield env.timeout(behind / playback)

@@ -30,6 +30,7 @@ from repro.core.hitsets import (
     hit_probability_batch,
 )
 from repro.core.vcrop import VCROperation
+from repro.distributions import special
 from repro.distributions import (
     DeterministicDuration,
     EmpiricalDuration,
@@ -534,3 +535,79 @@ class TestSharedTransforms:
         assert len(built) == 4
         configs = _grid(shared, 120.0)
         assert shared.breakdown_batch(configs) == distinct.breakdown_batch(configs)
+
+
+def _abs_gamma_series(a, x):
+    """The series as written before its convergence test dropped ``abs()``."""
+    ap = a
+    total = 1.0 / a
+    term = total
+    for _ in range(special._MAX_ITERATIONS):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * special._EPS:
+            return total * math.exp(-x + a * math.log(x) - special.log_gamma(a))
+    raise AssertionError("reference series failed to converge")
+
+
+def _abs_regularized_lower_gamma(a, x):
+    if x <= 0.0:
+        return 0.0
+    if x < a + 1.0:
+        return min(1.0, _abs_gamma_series(a, x))
+    return min(1.0, max(0.0, 1.0 - special._gamma_continued_fraction(a, x)))
+
+
+#: Shapes of the gamma family above (``a`` in [0.5, 40]) plus Figure 7's 2.
+_GAMMA_SHAPES = [0.5, 1.0, 2.0, 7.5, 31.0, 40.0]
+
+
+def _gamma_arguments(a):
+    """The suite's gamma grid for one shape: every CDF grid point and edge
+    input scaled as ``GammaDuration`` scales them, subnormals, and the
+    series/continued-fraction switch at ``a + 1``."""
+    xs = [x for x in _EDGE_XS if x > 0.0]
+    for scale in (0.5, 4.0, 17.5, 20.0):
+        xs.extend((np.linspace(0.0, _LIMIT, DEFAULT_GRID_POINTS) / scale).tolist())
+        xs.extend(x / scale for x in _EDGE_XS)
+    edge = a + 1.0
+    xs.extend(
+        (
+            math.nextafter(edge, 0.0),
+            math.nextafter(math.nextafter(edge, 0.0), 0.0),
+            edge * (1.0 - 1e-12),
+            edge,
+            math.nextafter(edge, math.inf),
+            math.ulp(0.0),
+            1e-310,
+            math.nextafter(2.2250738585072014e-308, 0.0),
+        )
+    )
+    return xs
+
+
+class TestGammaSeriesWithoutAbs:
+    """The scalar series' convergence test compares ``term < total * eps``
+    without ``abs()``; over the positive arguments it is called with, that
+    must be the old ``abs()`` form bit for bit."""
+
+    @pytest.mark.parametrize("a", _GAMMA_SHAPES)
+    def test_matches_abs_reference_on_the_grid(self, a):
+        for x in _gamma_arguments(a):
+            assert _same_bits(
+                special.regularized_lower_gamma(a, x), _abs_regularized_lower_gamma(a, x)
+            ), (a, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.05, 60.0),
+        x=st.one_of(
+            st.floats(0.0, 80.0),
+            st.floats(0.0, 1e-300, allow_subnormal=True),
+        ),
+    )
+    def test_matches_abs_reference_property(self, a, x):
+        assert _same_bits(
+            special.regularized_lower_gamma(a, x), _abs_regularized_lower_gamma(a, x)
+        )

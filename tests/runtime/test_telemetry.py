@@ -68,6 +68,18 @@ class TestMovieTelemetry:
         assert mix.p_ff == pytest.approx(0.25)
         assert mix.p_rw == pytest.approx(0.0)
 
+    def test_mix_without_pauses_clamps_rounding(self):
+        """4 FF + 1 RW: ``1 - 0.8 - 0.2`` rounds to -5.6e-17; the pause
+        share must come out as 0, not fail the mix's range check."""
+        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=1e9)
+        for _ in range(4):
+            telemetry.record_operation(VCROperation.FAST_FORWARD, 5.0, 0.0)
+        telemetry.record_operation(VCROperation.REWIND, 5.0, 0.0)
+        assert 1.0 - 4 / 5 - 1 / 5 < 0.0
+        mix = telemetry.mix(0.0)
+        assert mix.p_pause == 0.0
+        assert (mix.p_ff, mix.p_rw) == (4 / 5, 1 / 5)
+
     def test_duration_window_is_bounded(self):
         telemetry = MovieTelemetry(0, 120.0, window_size=16)
         for k in range(100):

@@ -78,9 +78,9 @@ EXPECTED_DECISIONS = {
 EXPECTED_LOG_SHA256 = "a387e6ef569ee43546ae027f9ae35d656d8f0683f6beb833c20df33a1187b1fd"
 
 
-def _run_deployment():
+def _run_deployment(movies=12, popular=3, rate=1.5, seed=4, horizon=100.0):
     """Engine + controller as ``serve`` builds them, driven by a VCR trace."""
-    catalog = default_catalog(12, 3, seed=1234)
+    catalog = default_catalog(movies, popular, seed=1234)
     plan = plan_for(catalog, WAIT_MINUTES)
     reserve = reserve_for(plan)
     log = io.StringIO()
@@ -130,17 +130,35 @@ def _run_deployment():
 
     engine.adopt = recording_adopt
     trace = WorkloadGenerator(
-        catalog, VCRBehavior.paper_figure7(), arrival_rate=1.5, seed=4
-    ).generate(100.0)
+        catalog, VCRBehavior.paper_figure7(), arrival_rate=rate, seed=seed
+    ).generate(horizon)
     report = run_virtual(engine, trace)
-    return applied, controller, report, log.getvalue()
+    return applied, controller, report, log.getvalue(), engine.control_loop
 
 
 def test_replans_apply_the_pinned_allocations():
-    applied, controller, report, log = _run_deployment()
+    applied, controller, report, log, _ = _run_deployment()
     replans = [entry for entry in applied if entry[3] != "bootstrap plan"]
     assert len(replans) >= 2
     assert applied == EXPECTED_APPLIED
     assert controller.counters() == EXPECTED_COUNTERS
     assert report.decisions == EXPECTED_DECISIONS
     assert hashlib.sha256(log.encode()).hexdigest() == EXPECTED_LOG_SHA256
+
+
+#: Decision-log sha256 of the fitted-mix rounding reproducer below.
+MIX_ROUNDING_LOG_SHA256 = "f4431ed1cde58ea8282672ba08d781e497d070de3995150b00a01d04fbd438f6"
+
+
+def test_fitted_mix_rounding_does_not_fail_a_tick():
+    """The first tick (t≈30.2) fits a mix from FF and RW only; the pause
+    remainder ``1 - p_ff - p_rw`` rounds to about -5.6e-17, which must be
+    clamped to 0 rather than fail the tick and leave the plan coasting."""
+    applied, controller, report, log, loop = _run_deployment(
+        movies=20, popular=5, rate=2.0, seed=7, horizon=150.0
+    )
+    assert loop.failures == 0
+    assert loop.ticks_run == controller.counters()["ticks"] == 13
+    assert applied[0][0] == 30.178010186706157
+    assert applied[0][3] == "bootstrap plan"
+    assert hashlib.sha256(log.encode()).hexdigest() == MIX_ROUNDING_LOG_SHA256

@@ -3,11 +3,10 @@
 The per-file rules of :mod:`repro.analysis` see one module at a time; the
 hazards that dominate risk in the long-running service (:mod:`repro.service`)
 are *interprocedural*: a blocking call three frames below an ``async def``
-stalls every connection on the event loop, a read-modify-write of shared
+stalls every connection on the event loop, and a read-modify-write of shared
 session state that spans an ``await`` races against the other tasks the
-scheduler interleaves, and the session lifecycle the engine encodes can
-silently drift from what the wire protocol declares.  This package closes
-that gap with one whole-project pass:
+scheduler interleaves.  This package closes that gap with one
+whole-project pass:
 
 * :mod:`~repro.analysis.concurrency.callgraph` — parses the full tree once
   (through the existing :class:`~repro.analysis.base.LintContext`), builds a
@@ -25,11 +24,6 @@ that gap with one whole-project pass:
 * :mod:`~repro.analysis.concurrency.tasks` — ``async-task-leak``: coroutine
   calls whose result is dropped, and ``create_task``/``ensure_future``
   handles that are neither stored nor awaited.
-* :mod:`~repro.analysis.concurrency.protocol_state` — ``protocol-state``:
-  statically extracts the session lifecycle transitions encoded in
-  ``service/engine.py`` + ``service/state.py`` and diffs them, in both
-  directions, against the declared
-  :data:`repro.service.protocol.PHASE_TRANSITIONS` table.
 
 Every rule rides the existing machinery: the
 :func:`~repro.analysis.base.register_rule` registry, ``# lint: allow(...)``
@@ -47,7 +41,6 @@ from repro.analysis.concurrency.callgraph import (
 # Importing the rule modules registers the concurrency rule family.
 from repro.analysis.concurrency import awaitspan as _awaitspan  # noqa: F401
 from repro.analysis.concurrency import blocking as _blocking  # noqa: F401
-from repro.analysis.concurrency import protocol_state as _protocol_state  # noqa: F401
 from repro.analysis.concurrency import tasks as _tasks  # noqa: F401
 
 __all__ = ["FunctionInfo", "ProjectCallGraph"]

@@ -46,6 +46,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import AdmissionService
 from repro.service.state import (
+    PHASE_TRANSITIONS,
     LiveSession,
     SessionPhase,
     SessionRegistry,
@@ -62,6 +63,7 @@ __all__ = [
     "InflightLimiter",
     "LiveSession",
     "LoadReport",
+    "PHASE_TRANSITIONS",
     "REQUEST_KINDS",
     "Request",
     "Response",

@@ -491,7 +491,7 @@ class AdmissionEngine:
                     request, "deny", "phase-1 starvation: no stream free"
                 )
             session.holds = StreamPurpose.VCR
-        session.phase = SessionPhase.IN_VCR
+        session.move_to(SessionPhase.IN_VCR)
         session.pending_vcr_minutes = request.duration
         session.vcr_ops += 1
         if request.kind == "fastforward":
@@ -510,7 +510,7 @@ class AdmissionEngine:
             return self._respond(request, "deny", "no operation to resume from")
         session.pending_vcr_minutes = 0.0
         if not session.planned:
-            session.phase = SessionPhase.PLAYING
+            session.move_to(SessionPhase.PLAYING)
             self.stats.resume_hits += 1
             self.hub.on_resume(session.movie_id, True, t)
             return self._respond(request, "hit", "dedicated stream: resume in place")
@@ -518,14 +518,14 @@ class AdmissionEngine:
         if session.holds is StreamPurpose.MISS_HOLD:
             # A viewer on a pinned miss-hold stream resumed another operation:
             # the dedicated stream serves them in place until the hold expires.
-            session.phase = SessionPhase.MISS_HOLD
+            session.move_to(SessionPhase.MISS_HOLD)
             self.stats.resume_hits += 1
             self.hub.on_resume(session.movie_id, True, t)
             return self._respond(request, "hit", "pinned stream: resume in place")
         if session.holds is not StreamPurpose.VCR:
             # The fault layer shed this viewer's stream mid-operation: they
             # degraded back into the batch and resume there.
-            session.phase = SessionPhase.PLAYING
+            session.move_to(SessionPhase.PLAYING)
             session.displacement = 0.0
             self.stats.resume_hits += 1
             self.hub.on_resume(session.movie_id, True, t)
@@ -533,7 +533,7 @@ class AdmissionEngine:
         if abs(session.displacement) <= config.buffer_minutes:
             self.account.release(StreamPurpose.VCR, session.session_id)
             session.holds = None
-            session.phase = SessionPhase.PLAYING
+            session.move_to(SessionPhase.PLAYING)
             self.stats.resume_hits += 1
             self.hub.on_resume(session.movie_id, True, t)
             return self._respond(
@@ -543,12 +543,12 @@ class AdmissionEngine:
                 f"buffer window B={config.buffer_minutes:g}",
             )
         # Phase-2 miss: the stream stays pinned until the next restart.
-        self.account.release(StreamPurpose.VCR, session.session_id)
-        self.account.acquire(StreamPurpose.MISS_HOLD, session.session_id)
+        self.account.retag(StreamPurpose.VCR, StreamPurpose.MISS_HOLD, session.session_id)
         session.holds = StreamPurpose.MISS_HOLD
-        session.phase = SessionPhase.MISS_HOLD
+        session.move_to(SessionPhase.MISS_HOLD)
         wait = self.restart_wait(session.movie_id)
-        heapq.heappush(self._hold_expiry, (t + wait, session.session_id))
+        session.hold_expires_at = t + wait
+        heapq.heappush(self._hold_expiry, (session.hold_expires_at, session.session_id))
         self.stats.resume_misses += 1
         self.hub.on_resume(session.movie_id, False, t)
         return self._respond(
@@ -716,24 +716,41 @@ class AdmissionEngine:
                 session.holds is StreamPurpose.MISS_HOLD
                 and session_id not in surviving_hold
             ):
-                session.holds = None
-                session.phase = SessionPhase.PLAYING
-                session.displacement = 0.0
+                self._drop_miss_hold(session)
                 self.degradation.session_degraded()
                 self.stats.degraded_sessions += 1
 
     def _expire_holds(self, t: float) -> None:
-        """Release miss holds whose restart interval has passed (lazy)."""
+        """Release miss holds whose restart interval has passed (lazy).
+
+        An entry whose time is not its session's current expiry is stale:
+        the hold it was pushed for already ended (session closed and id
+        reused, or hold shed and pinned again) and a later hold stands.
+        """
         while self._hold_expiry and self._hold_expiry[0][0] <= t:
-            _, session_id = heapq.heappop(self._hold_expiry)
+            expires_at, session_id = heapq.heappop(self._hold_expiry)
             if session_id not in self.registry:
                 continue
             session = self.registry.get(session_id)
-            if session.holds is StreamPurpose.MISS_HOLD:
+            if (
+                session.holds is StreamPurpose.MISS_HOLD
+                and session.hold_expires_at == expires_at
+            ):
                 self.account.release(StreamPurpose.MISS_HOLD, session_id)
-                session.holds = None
-                session.phase = SessionPhase.PLAYING
-                session.displacement = 0.0
+                self._drop_miss_hold(session)
+
+    @staticmethod
+    def _drop_miss_hold(session) -> None:
+        """Forget a released or revoked miss hold on its session's books.
+
+        A session pinned by its hold goes back to playing in the batch; one
+        that is mid-operation keeps the operation, and its resume rejoins
+        the batch as a degraded hit.
+        """
+        session.holds = None
+        if session.phase is SessionPhase.MISS_HOLD:
+            session.move_to(SessionPhase.PLAYING)
+            session.displacement = 0.0
 
     # ------------------------------------------------------------------
     # The control tick.

@@ -55,9 +55,6 @@ __all__ = [
     "ADMIN_KINDS",
     "DECISIONS",
     "SCRAPE_FORMATS",
-    "SESSION_PHASES",
-    "INITIAL_PHASE",
-    "PHASE_TRANSITIONS",
     "Request",
     "Response",
     "decode_request",
@@ -107,45 +104,6 @@ DECISIONS: frozenset[str] = frozenset(
 
 #: Kinds that do not reference a session.
 _SESSIONLESS = frozenset({"ping"}) | ADMIN_KINDS
-
-# ----------------------------------------------------------------------
-# The declared session state machine.
-#
-# The engine (:mod:`repro.service.engine`) and the registry entry
-# (:class:`repro.service.state.LiveSession`) encode the session lifecycle
-# operationally — guards plus ``session.phase = SessionPhase.X``
-# assignments.  This table is the *declared* form of the same machine, in
-# the phase enum's string values, and the ``protocol-state`` lint rule
-# diffs the two in both directions (exactly like the trace/metric schema
-# cross-checks): a phase assignment the table does not permit fails the
-# gate, and a declared transition no engine site ever performs rots loudly
-# instead of silently.  ``SessionStateError`` paths therefore cannot drift
-# from what this module promises on the wire.
-# ----------------------------------------------------------------------
-
-#: Every session phase, by enum value (see ``SessionPhase`` in state.py).
-SESSION_PHASES: tuple[str, ...] = ("playing", "in_vcr", "miss_hold")
-
-#: The phase a freshly opened session starts in.
-INITIAL_PHASE: str = "playing"
-
-#: Permitted (from_phase, to_phase) lifecycle transitions:
-#:
-#: * ``playing -> in_vcr`` — a phase-1 VCR operation is admitted;
-#: * ``miss_hold -> in_vcr`` — a pinned viewer starts another operation;
-#: * ``in_vcr -> playing`` — resume hit (or degraded back into the batch);
-#: * ``in_vcr -> miss_hold`` — resume miss: the stream stays pinned;
-#: * ``miss_hold -> playing`` — the hold expires at the next restart, or
-#:   the degradation ladder sheds the pinned stream.
-PHASE_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
-    {
-        ("playing", "in_vcr"),
-        ("miss_hold", "in_vcr"),
-        ("in_vcr", "playing"),
-        ("in_vcr", "miss_hold"),
-        ("miss_hold", "playing"),
-    }
-)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ argument needs:
 
 * which sessions are open, for which movie, and whether a phase-1 VCR
   stream or a phase-2 miss hold is pinned on their behalf
-  (:class:`SessionRegistry`);
+  (:class:`SessionRegistry`), with each session's lifecycle phase moving
+  only along :data:`PHASE_TRANSITIONS`;
 * how many I/O streams are committed, by purpose, against the configured
   capacity (:class:`StreamAccount`) — the same per-purpose books the
   simulator's :class:`~repro.vod.streams.StreamPool` keeps, reduced to
@@ -28,7 +29,13 @@ from dataclasses import dataclass, field
 from repro.exceptions import ConfigurationError, SessionStateError
 from repro.vod.streams import StreamPurpose
 
-__all__ = ["SessionPhase", "LiveSession", "SessionRegistry", "StreamAccount"]
+__all__ = [
+    "PHASE_TRANSITIONS",
+    "SessionPhase",
+    "LiveSession",
+    "SessionRegistry",
+    "StreamAccount",
+]
 
 
 class SessionPhase(enum.Enum):
@@ -39,15 +46,39 @@ class SessionPhase(enum.Enum):
     MISS_HOLD = "miss_hold"    # resume missed; a dedicated stream is pinned
 
 
+#: The session lifecycle, as the permitted ``(from, to)`` phase changes:
+#:
+#: * ``PLAYING -> IN_VCR`` — a phase-1 VCR operation is admitted;
+#: * ``MISS_HOLD -> IN_VCR`` — a pinned viewer starts another operation;
+#: * ``IN_VCR -> PLAYING`` — resume hit (or degraded back into the batch);
+#: * ``IN_VCR -> MISS_HOLD`` — resume miss, or a pinned viewer resuming in
+#:   place: the stream stays pinned;
+#: * ``MISS_HOLD -> PLAYING`` — the hold expires at the next restart, or
+#:   the degradation ladder sheds the pinned stream.
+PHASE_TRANSITIONS: frozenset[tuple[SessionPhase, SessionPhase]] = frozenset(
+    {
+        (SessionPhase.PLAYING, SessionPhase.IN_VCR),
+        (SessionPhase.MISS_HOLD, SessionPhase.IN_VCR),
+        (SessionPhase.IN_VCR, SessionPhase.PLAYING),
+        (SessionPhase.IN_VCR, SessionPhase.MISS_HOLD),
+        (SessionPhase.MISS_HOLD, SessionPhase.PLAYING),
+    }
+)
+
+
 @dataclass
 class LiveSession:
-    """One open session's registry entry."""
+    """One open session's registry entry.
+
+    A session opens :attr:`~SessionPhase.PLAYING`; :meth:`move_to` is the
+    only way its phase changes.
+    """
 
     session_id: int
     movie_id: int
     planned: bool
     opened_at: float
-    phase: SessionPhase = SessionPhase.PLAYING
+    _phase: SessionPhase = field(default=SessionPhase.PLAYING, init=False)
     #: Stream purpose this session holds in the account, if any.
     holds: StreamPurpose | None = None
     #: Net VCR displacement (minutes of content) since the session started;
@@ -56,6 +87,26 @@ class LiveSession:
     #: Duration of the VCR operation awaiting its resume decision.
     pending_vcr_minutes: float = 0.0
     vcr_ops: int = 0
+    #: Release time of the miss hold pinned at the last resume miss.
+    hold_expires_at: float | None = None
+
+    @property
+    def phase(self) -> SessionPhase:
+        """Where the session is in its lifecycle."""
+        return self._phase
+
+    def move_to(self, phase: SessionPhase) -> None:
+        """Change phase along a declared :data:`PHASE_TRANSITIONS` edge.
+
+        Any other change, a self-transition included, is a
+        :class:`SessionStateError`.
+        """
+        if (self._phase, phase) not in PHASE_TRANSITIONS:
+            raise SessionStateError(
+                f"session {self.session_id}: illegal phase change "
+                f"{self._phase.value} -> {phase.value}"
+            )
+        self._phase = phase
 
 
 class SessionRegistry:
@@ -182,6 +233,18 @@ class StreamAccount:
             holders.remove(session_id)
         elif holders:
             holders.pop(0)
+
+    def retag(
+        self, old: StreamPurpose, new: StreamPurpose, session_id: int = -1
+    ) -> None:
+        """Move one stream held under ``old`` to ``new`` without freeing it.
+
+        Unlike a release followed by an acquire, this cannot fail while a
+        capacity fault leaves the account over-committed.
+        """
+        self.release(old, session_id)
+        self._held[new] = self._held.get(new, 0) + 1
+        self._holders.setdefault(new, []).append(session_id)
 
     def set_block(self, purpose: StreamPurpose, count: int) -> None:
         """Resize the unowned block under ``purpose`` to exactly ``count``."""

@@ -141,7 +141,6 @@ class TestRegistry:
         "determinism-wallclock",
         "exception-hygiene",
         "metric-schema",
-        "protocol-state",
         "trace-schema",
         "unit-mix",
     }

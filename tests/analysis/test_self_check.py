@@ -118,34 +118,8 @@ class TestLiveTreeDrift:
     def test_concurrency_rules_clean_on_live_tree(self):
         report = run_lint(SRC, rule_ids=[
             "async-blocking", "async-await-span", "async-task-leak",
-            "protocol-state",
         ])
         assert report.findings == [], report.render_text()
-
-    def test_observed_phase_transitions_are_pinned(self):
-        """The engine's statically-extracted lifecycle, pinned exactly.
-
-        A lifecycle edit must touch this set *and* PHASE_TRANSITIONS in
-        repro.service.protocol — drift between them is a protocol-state
-        finding, drift from this pin is a deliberate-change checkpoint.
-        """
-        from repro.analysis.concurrency.protocol_state import (
-            observed_transitions,
-        )
-        from repro.analysis.engine import collect_modules
-
-        witnesses = observed_transitions(collect_modules(SRC))
-        observed = {
-            (w.from_phases, w.to_phase)
-            for w in witnesses
-            if w.relpath == "repro/service/engine.py"
-        }
-        assert observed == {
-            (("miss_hold", "playing"), "in_vcr"),  # _vcr_operation
-            (("in_vcr",), "playing"),              # _resume
-            (("in_vcr",), "miss_hold"),            # _resume (hold path)
-            (None, "playing"),                     # shed/expire sweeps
-        }
 
 
 class TestSeededViolation:
@@ -167,7 +141,7 @@ class TestSeededViolation:
         )
 
     def test_gate_catches_injected_concurrency_violations(self, tmp_path):
-        """One seeded copy of the live tree must trip all four async rules.
+        """One seeded copy of the live tree must trip all three async rules.
 
         This is the proof the concurrency gate is live end to end: the
         violations sit inside the real engine module, so detection exercises
@@ -191,20 +165,14 @@ class TestSeededViolation:
             "    count = engine.registry.in_flight\n"
             "    await _seeded_asyncio.sleep(0)\n"
             "    engine.registry.in_flight = count + 1\n"
-            "\n\n"
-            "def _seeded_bad_transition(session):\n"
-            "    if session.phase is SessionPhase.PLAYING:\n"
-            "        session.phase = SessionPhase.MISS_HOLD\n"
         ))
         report = run_lint(seeded, rule_ids=[
             "async-blocking", "async-await-span", "async-task-leak",
-            "protocol-state",
         ])
         assert report.exit_code == 2
         fired = {f.rule for f in report.findings}
         assert fired == {
             "async-blocking", "async-await-span", "async-task-leak",
-            "protocol-state",
         }, report.render_text()
         # The blocking finding proves the transitive chain, not a direct hit.
         (blocking,) = [f for f in report.findings if f.rule == "async-blocking"]

@@ -70,12 +70,11 @@ EXPECTED_COUNTERS = {
 EXPECTED_DECISIONS = {
     "admit": 1168,
     "batch": 65,
-    "hit": 1075,
+    "hit": 1076,
     "miss": 9,
-    "deny": 1,
     "closed": 148,
 }
-EXPECTED_LOG_SHA256 = "a387e6ef569ee43546ae027f9ae35d656d8f0683f6beb833c20df33a1187b1fd"
+EXPECTED_LOG_SHA256 = "b32424dd3ab94e31319b9de0b53c2adabb83b5fc8c2ab236938105baa23443a6"
 
 
 def _run_deployment(movies=12, popular=3, rate=1.5, seed=4, horizon=100.0):
@@ -147,7 +146,7 @@ def test_replans_apply_the_pinned_allocations():
 
 
 #: Decision-log sha256 of the fitted-mix rounding reproducer below.
-MIX_ROUNDING_LOG_SHA256 = "f4431ed1cde58ea8282672ba08d781e497d070de3995150b00a01d04fbd438f6"
+MIX_ROUNDING_LOG_SHA256 = "88ea45fb653ca8b6d0728c6e4fd54103b74792e03bd543d8dd60ded6c87a0da9"
 
 
 def test_fitted_mix_rounding_does_not_fail_a_tick():

@@ -159,6 +159,83 @@ class TestVCRPhases:
         assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 0
         assert engine.registry.get(1).phase is SessionPhase.PLAYING
 
+    def test_miss_while_over_committed_keeps_the_stream_pinned(self):
+        engine = make_engine()
+        start(engine, 1, 0)
+        vcr(engine, 1, "fastforward", 60.0)
+        engine.account.capacity = engine.account.in_use - 1  # unshed shrink
+        assert resume(engine, 1).decision == "miss"
+        assert engine.account.held_for(StreamPurpose.VCR) == 0
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 1
+        assert end(engine, 1).decision == "closed"
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 0
+
+    def _pinned_viewer_mid_operation(self):
+        """Session 1 misses (hold until t=10), then starts another pause."""
+        engine = make_engine()
+        start(engine, 1, 0)
+        vcr(engine, 1, "fastforward", 60.0)
+        assert resume(engine, 1).decision == "miss"
+        assert vcr(engine, 1, "pause", 1.0).decision == "admit"
+        return engine
+
+    def test_miss_hold_expiry_mid_operation_keeps_the_operation(self):
+        engine = self._pinned_viewer_mid_operation()
+        engine._clock.advance_to(50.0)
+        response = resume(engine, 1)
+        assert response.decision == "hit"
+        assert response.reason == "degraded: rejoined the batch"
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 0
+        assert engine.registry.get(1).phase is SessionPhase.PLAYING
+        assert engine.stats.vcr_denied == 0
+
+    def test_miss_hold_shed_mid_operation_keeps_the_operation(self):
+        engine = self._pinned_viewer_mid_operation()
+        engine.account.revoke(1, (StreamPurpose.MISS_HOLD,))
+        engine._degrade_shed_sessions()
+        assert engine.registry.get(1).phase is SessionPhase.IN_VCR
+        response = resume(engine, 1)
+        assert response.decision == "hit"
+        assert response.reason == "degraded: rejoined the batch"
+        assert engine.registry.get(1).phase is SessionPhase.PLAYING
+        assert engine.stats.vcr_denied == 0
+
+    def _ping_at(self, engine, t):
+        engine._clock.advance_to(t)
+        engine.handle(Request(request_id=9, kind="ping"))  # lazy expiry sweep
+
+    def test_stale_expiry_of_a_closed_session_keeps_the_reused_ids_hold(self):
+        engine = make_engine()
+        start(engine, 1, 0)
+        vcr(engine, 1, "fastforward", 60.0)
+        resume(engine, 1)  # miss at t=0: hold until t=10
+        engine._clock.advance_to(1.0)
+        end(engine, 1)
+        engine._clock.advance_to(5.0)
+        start(engine, 1, 0)
+        vcr(engine, 1, "fastforward", 60.0)
+        assert resume(engine, 1).decision == "miss"  # hold until t=15
+        self._ping_at(engine, 10.5)
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 1
+        self._ping_at(engine, 15.0)
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 0
+
+    def test_stale_expiry_of_a_shed_hold_keeps_the_next_hold(self):
+        engine = make_engine()
+        start(engine, 1, 0)
+        vcr(engine, 1, "fastforward", 60.0)
+        resume(engine, 1)  # miss at t=0: hold until t=10
+        engine._clock.advance_to(2.0)
+        engine.account.revoke(1, (StreamPurpose.MISS_HOLD,))
+        engine._degrade_shed_sessions()
+        engine._clock.advance_to(5.0)
+        vcr(engine, 1, "fastforward", 60.0)
+        assert resume(engine, 1).decision == "miss"  # hold until t=15
+        self._ping_at(engine, 10.5)
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 1
+        self._ping_at(engine, 15.0)
+        assert engine.account.held_for(StreamPurpose.MISS_HOLD) == 0
+
     def test_dedicated_tail_session_always_resumes_in_place(self):
         engine = make_engine()
         start(engine, 1, 2)

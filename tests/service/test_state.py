@@ -63,6 +63,16 @@ class TestStreamAccount:
         with pytest.raises(SessionStateError, match="no vcr streams"):
             account.release(StreamPurpose.VCR)
 
+    def test_retag_keeps_the_stream_while_over_committed(self):
+        account = StreamAccount(2)
+        assert account.acquire(StreamPurpose.VCR, 7)
+        account.acquire_block(StreamPurpose.PLAYBACK, 2)  # 3 held, capacity 2
+        account.retag(StreamPurpose.VCR, StreamPurpose.MISS_HOLD, 7)
+        assert account.held_for(StreamPurpose.VCR) == 0
+        assert account.held_for(StreamPurpose.MISS_HOLD) == 1
+        assert account.holders(StreamPurpose.MISS_HOLD) == [7]
+        assert account.in_use == 3
+
     def test_block_resize_preserves_owned_holds(self):
         account = StreamAccount(10)
         account.acquire_block(StreamPurpose.PLAYBACK, 4)

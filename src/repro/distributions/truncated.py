@@ -199,7 +199,7 @@ class TruncatedDuration(DurationDistribution):
         if size is None:
             return self._base.ppf(float(rng.uniform(0.0, self._mass)))
         qs = rng.uniform(0.0, self._mass, size=size)
-        return np.asarray([self._base.ppf(float(q)) for q in qs])
+        return np.fromiter(map(self._base.ppf, qs.tolist()), dtype=float, count=size)
 
     def describe(self) -> str:
         return f"Truncated({self._base.describe()}, limit={self._limit:g})"

@@ -54,6 +54,14 @@ class TestTruncatedDuration:
         assert float(np.max(samples)) <= 10.0 + 1e-9
         assert float(np.min(samples)) >= 0.0
 
+    def test_sized_draw_equals_scalar_draws(self):
+        trunc = TruncatedDuration(GammaDuration(2.0, 4.0), 120.0)
+        batch = trunc.sample(np.random.default_rng(7), size=64)
+        rng = np.random.default_rng(7)
+        scalars = [trunc.sample(rng) for _ in range(64)]
+        assert batch.dtype == np.float64
+        assert batch.tolist() == scalars
+
     def test_sample_distribution_matches_cdf(self, rng):
         trunc = TruncatedDuration(GammaDuration(2.0, 4.0), 15.0)
         samples = np.asarray([trunc.sample(rng) for _ in range(4000)])

@@ -37,6 +37,27 @@ class TestSolvers:
         assert solver(lambda x: 1.0 - x, 0.0, 5.0) == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-170, 1e-200, 1e-300])
+def test_tiny_values_keep_their_signs(solver, scale):
+    # f(lo) * f(hi) underflows to 0 at these scales; a product sign test
+    # then mistakes a same-sign pair for a bracket and walks off the root.
+    def f(x):
+        return math.copysign(abs(x - 0.3) ** 0.5, x - 0.3) * scale
+
+    assert solver(f, 0.0, 1.0, tol=1e-12) == pytest.approx(0.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_tiny_same_sign_endpoints_are_rejected(solver):
+    with pytest.raises(NumericsError):
+        solver(lambda x: (x + 1.0) * 1e-200, 0.0, 1.0)
+
+
+def test_find_bracket_keeps_tiny_signs():
+    assert find_bracket(lambda x: (x + 1.0) * 1e-200, 0.0, 1.0, num_probes=5) is None
+
+
 def test_brent_converges_faster_than_bisection_tolerance():
     calls = {"bisect": 0, "brent": 0}
 

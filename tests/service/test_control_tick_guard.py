@@ -33,7 +33,7 @@ CAPACITY = 250
 #: every delta the actuator applied, in order.
 EXPECTED_APPLIED = [
     (
-        30.570254783850903,
+        30.570254783853642,
         ((0, 32, 65.0679906679257), (1, 26, 53.2078294007847), (2, 32, 62.929849350558214)),
         7,
         "bootstrap plan",
@@ -45,13 +45,13 @@ EXPECTED_APPLIED = [
         "drift re-plan accepted",
     ),
     (
-        120.73920831139897,
+        120.73920831138365,
         ((0, 30, 69.0679906679257), (1, 24, 57.2078294007847), (2, 29, 68.92984935055821)),
         13,
         "drift re-plan accepted",
     ),
     (
-        150.83722028252285,
+        150.83722028248502,
         ((0, 29, 71.0679906679257), (1, 24, 57.2078294007847), (2, 29, 68.92984935055821)),
         42,
         "drift re-plan accepted",

@@ -259,10 +259,14 @@ class EngineMachine(RuleBasedStateMachine):
             assert self.engine.account.held_for(purpose) == holding, purpose
 
     @invariant()
-    def capacity_respected_outside_a_fault(self):
+    def capacity_respected(self):
+        # During a capacity fault too: the playback block is clamped to what
+        # the faulted account can hold, so no re-plan over-commits it.
         account = self.engine.account
-        if account.capacity == CAPACITY:
-            assert account.in_use <= account.capacity
+        assert account.in_use <= account.capacity, (
+            account.capacity,
+            {purpose.value: account.held_for(purpose) for purpose in StreamPurpose},
+        )
 
     @invariant()
     def registry_matches_model(self):

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.parameters import SystemConfiguration
 from repro.obs.registry import ObsRegistry
 from repro.obs.trace import TraceWriter
-from repro.runtime.controller import CapacityController, ControllerPolicy, MovieSlot
+from repro.runtime.controller import (
+    AllocationDelta,
+    CapacityController,
+    ControllerPolicy,
+    MovieSlot,
+)
 from repro.service.clock import VirtualClock
 from repro.service.engine import AdmissionEngine
 from repro.service.faults import ServiceFaultConfig
@@ -339,6 +345,64 @@ class TestCapacityFaultDegradation:
         assert "fault_injected" in kinds
         assert "degradation_entered" in kinds
         assert "degradation_exited" in kinds
+
+    @staticmethod
+    def _replan(engine, total_streams):
+        """A re-plan keeping the configurations but needing more streams."""
+        return AllocationDelta(
+            at_minutes=engine.now,
+            configurations=make_plan(),
+            changes=(),
+            result=SimpleNamespace(total_streams=total_streams),
+            reserve_streams=1,
+            old_score=5.0,
+            new_score=4.0,
+            reason="test",
+        )
+
+    def test_replan_adopted_mid_fault_fits_the_faulted_account(self):
+        faults = ServiceFaultConfig(
+            capacity_fault_at=10.0, capacity_fraction=0.5, capacity_recovery=20.0
+        )
+        engine = make_engine(capacity=20, reserve=1, faults=faults)
+        start(engine, 1, 0)
+        start(engine, 2, 0)
+        assert vcr(engine, 1, "pause", 1.0).decision == "admit"
+        engine._clock.advance_to(10.0)
+        engine.handle(Request(request_id=9, kind="ping"))
+        account = engine.account
+        assert (account.capacity, account.in_use) == (10, 9)
+        # Sized against the nominal 20 streams, the plan wants 14 of them.
+        engine.adopt(self._replan(engine, 14))
+        assert engine.gate.planned_streams == 14
+        assert account.held_for(StreamPurpose.PLAYBACK) == 9
+        assert account.in_use == account.capacity
+        assert vcr(engine, 2, "pause", 1.0).decision == "deny"
+        # A released stream goes back to the block before the next decision.
+        assert resume(engine, 1).decision == "hit"
+        engine.handle(Request(request_id=10, kind="ping"))
+        assert account.held_for(StreamPurpose.PLAYBACK) == 10
+        assert vcr(engine, 2, "pause", 1.0).decision == "deny"
+        # Recovery restores the planned block.
+        engine._clock.advance_to(31.0)
+        engine.handle(Request(request_id=11, kind="ping"))
+        assert account.capacity == 20
+        assert account.held_for(StreamPurpose.PLAYBACK) == 14
+        assert vcr(engine, 2, "pause", 1.0).decision == "admit"
+
+    def test_fault_onset_clamps_a_block_the_fault_cannot_hold(self):
+        faults = ServiceFaultConfig(capacity_fault_at=10.0, capacity_fraction=0.5)
+        engine = make_engine(capacity=20, reserve=1, faults=faults)
+        engine.adopt(self._replan(engine, 16))
+        assert engine.account.held_for(StreamPurpose.PLAYBACK) == 16
+        engine._clock.advance_to(10.0)
+        engine.handle(Request(request_id=9, kind="ping"))
+        assert engine.account.held_for(StreamPurpose.PLAYBACK) == 10
+        assert engine.account.in_use == engine.account.capacity
+        # The tail gate still counts the unfilled six streams as committed.
+        response = start(engine, 3, 2)
+        assert response.decision == "reject"
+        assert "6 unfilled playback" in response.reason
 
 
 class TestControlLoop:

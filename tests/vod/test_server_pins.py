@@ -85,29 +85,29 @@ def _fault_plan() -> FaultPlan:
 _FAULT_FREE = {
     1: (
         651, 658, 284,
-        "3aaf44cc1335d3f72988fc0505883773c96d9c088dbef331cdec23f4fa5710c7",
-        "151c1ae2fc0cdcfa7bc14fa385b80e28b81dee471878d9a435d3ec1adebdb067",
+        "0fa94ffa074057f73a11bd54dc959a2cc2c7bf4348e13169e270121212fe5328",
+        "ee395cb7584aa7d709d990c220e40c53dd1c1b5efb233605da735914de64731e",
     ),
     2: (
         603, 610, 261,
-        "58db43e7d2e22441194444e75b2c048f4f36df1a6cc4f4d54672850b6a134675",
-        "9094c507b0b34fe3e01ea38d04d105987e866cf0e3caed46aafa9d9e35f5716b",
+        "906c7ebbe20a3e8f41be8d3e8d9cdfa850d4e578e23a18276d9a0a01fe0b9d5e",
+        "e2597f5a4d0b98e1c5829a443991b6a83c1420a6c5b289d24a90439a58ec99e7",
     ),
     3: (
         574, 570, 255,
-        "b76fb80309033af30ef91ab817b404f98edd6442281711d9acd7c1a0ccef24b3",
-        "26474b1ed2c8dba1bfb5248113726dd4ecc53c5ff5ee6d587cad6ba8fb95ffd6",
+        "042aa1f7a36e39c28af08d0241c4a455e574e79e7e99b7c8289e42f30de3965c",
+        "ef72eb4262948a5c267335009dadec45409969063fa04ba0e83951800e4d9383",
     ),
 }
 _FAULTED = (
     475, 580, 255,
-    "5eed9e296e76d518750f9160e4ba813ac24e52a1437c8f9022a67db224dbbe97",
-    "147b72ba2e23c90b26e2fe4a83691cc79041cdd28b7b4e453177578545fed4c3",
+    "329ca750fa89f056088ac9311c909a128650929f0ef095b7d7f82c17599bb0a1",
+    "3dad0926e00a5cbc7cfb7b119d329a38ea74d31dad5ec511f1a493183588e4a5",
 )
 _STEPPED = (
     499, 602, 233,
-    "00daf3b04262f31564fe144bf583a3749ba9d9ee029d7dc5d846fa493b067ce5",
-    "ce40495607271355fed105fb8a48f8cbc0240df2c8326f7316141996c9ae5e02",
+    "c036b7627539930ec4a475dd3e4a5a97685679d113b23a4e7acc22dcae8c3d8e",
+    "fab769e6ba59a77f823302b687de365ac216e58e925db60ccd9a66e6f0118cc5",
 )
 
 

@@ -168,9 +168,17 @@ class HitProbabilityModel:
         self._transforms: dict[VCROperation, CdfTransform] = {}
         for op, dist in durations.items():
             if id(dist) not in prepared:
-                truncated = truncate(dist, self._movie_length)
-                prepared[id(dist)] = (truncated, CdfTransform(truncated, self._movie_length))
+                prepared[id(dist)] = self._prepare(dist)
             self._durations[op], self._transforms[op] = prepared[id(dist)]
+
+    def _prepare(self, dist: DurationDistribution) -> tuple[DurationDistribution, CdfTransform]:
+        """Truncate ``dist`` onto ``[0, l]`` and build its CDF transform.
+
+        The expensive part of construction, and the hook a memoising
+        subclass overrides to share the pair between models.
+        """
+        truncated = truncate(dist, self._movie_length)
+        return truncated, CdfTransform(truncated, self._movie_length)
 
     # ------------------------------------------------------------------
     # Accessors.

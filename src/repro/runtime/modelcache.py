@@ -2,36 +2,60 @@
 
 The controller re-plans on every accepted drift, and a re-plan sweeps the
 ``B = l − n·w`` line of every movie through :class:`HitProbabilityModel` —
-tens of quadrature-heavy evaluations per movie per tick.  Between ticks most
-of that work repeats: only the drifted movies change, and even a drifted
-movie usually changes only its duration fits, not its length or wait target.
+tens of quadrature-heavy evaluations per movie per tick — then scores the
+incumbent and the candidate plan with a per-movie ``HitBreakdown``.
 
-:class:`ModelEvaluationCache` exploits this with two bounded LRU maps:
+A tick's spec carries the snapshot's decayed VCR mix, which moves on every
+tick, so a whole spec (and its mixed ``P(hit)``) almost never repeats.  What
+repeats is underneath: Eq. (22) is ``Σ p_op · P(hit | op)``, and each
+``P(hit | op)`` depends only on that operation's duration distribution,
+``l``, the rates and ``(B, n)`` — not on the mix.  A refit usually replaces
+one operation's fit and leaves the others alone.
+:class:`ModelEvaluationCache` therefore keeps four bounded LRU maps:
 
-* a **model cache** keyed by the structural signature of a
-  :class:`~repro.sizing.feasible.MovieSizingSpec` (name, geometry, mix,
-  rates, and the recursive parameter tuple of every duration distribution),
-  so unchanged movies reuse the constructed model — including its truncated
-  distributions and CDF transforms, the expensive part;
-* an **evaluation cache** keyed by ``(spec signature, n, quantised B)``, so
-  repeated frontier sweeps (bisection in ``max_streams``, the optimiser's
-  marginal-gain walk) cost a dictionary lookup each.
+* **models**, keyed by the structural signature of a
+  :class:`~repro.sizing.feasible.MovieSizingSpec` (mix included), so equal
+  specs share one model object;
+* **evaluations**, the mixed ``P(hit)`` keyed by ``(spec signature,
+  end-hit, n, quantised B)``, so repeated frontier sweeps within a tick
+  (bisection in ``max_streams``, the optimiser's marginal-gain walk) cost a
+  dictionary lookup each;
+* **operations**, ``P(hit | op)`` keyed by ``(op, distribution signature,
+  l, rates, end-hit, offset nodes, n, quantised B)``: every model the cache
+  builds resolves its per-operation batches here, so a mix-only change or
+  an unchanged operation costs no kernel evaluation across ticks;
+* **transforms**, the ``(truncated duration, CdfTransform)`` pair keyed by
+  ``(distribution signature, l)``, so a model built for a new mix reuses
+  the expensive construction of its unchanged distributions.
 
-Buffer minutes are quantised onto a fixed grid before keying — floats that
-differ below the grid resolution are physically the same configuration and
-must not miss.  Hit/miss/eviction counters are exposed per cache so the
-benchmark suite (and operators) can verify the cache is actually working.
+Mixed values and breakdowns are recombined from the per-operation values
+with the unchanged :class:`~repro.core.hitmodel.HitBreakdown` expression,
+so every value is bit-for-bit what an uncached model returns.  Buffer
+minutes are quantised onto a fixed grid before keying — floats that differ
+below the grid resolution are physically the same configuration and must
+not miss.  Hit/miss/eviction counters are exposed per map so the benchmark
+suite (and operators) can verify the cache is actually working.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Callable, Hashable, Sequence
 
 from repro.core.hitmodel import HitProbabilityModel
+from repro.core.hitsets import CdfTransform
+from repro.core.parameters import SystemConfiguration
+from repro.core.vcrop import VCROperation
+from repro.distributions.base import DurationDistribution
 from repro.exceptions import ConfigurationError
-from repro.sizing.feasible import FeasiblePoint, FeasibleSet, MovieSizingSpec, spec_signature
+from repro.sizing.feasible import (
+    FeasiblePoint,
+    FeasibleSet,
+    MovieSizingSpec,
+    distribution_signature,
+    spec_signature,
+)
 
 __all__ = ["CacheStats", "LRUCache", "ModelEvaluationCache", "CachedFeasibleSet"]
 
@@ -99,6 +123,38 @@ class LRUCache:
             self._data.popitem(last=False)
             self._evictions += 1
 
+    def get_or_compute(self, key: Hashable, compute: Callable[[], object]):
+        """The cached value of ``key``, or ``compute()`` stored under it."""
+        value = self.get(key, _MISS)
+        if value is _MISS:
+            value = compute()
+            self.put(key, value)
+        return value
+
+    def get_many(self, keys: Sequence[Hashable], compute: Callable[[list[int]], list]) -> list:
+        """One counted lookup per key; misses computed in one call and stored.
+
+        ``compute`` receives the index (into ``keys``) of the first
+        occurrence of every distinct missing key and returns their values in
+        that order.  Each value is stored once, and every occurrence of its
+        key gets it.
+        """
+        out: list = [None] * len(keys)
+        missing: "OrderedDict[Hashable, list[int]]" = OrderedDict()
+        for i, key in enumerate(keys):
+            cached = self.get(key, _MISS)
+            if cached is _MISS:
+                missing.setdefault(key, []).append(i)
+            else:
+                out[i] = cached
+        if missing:
+            values = compute([idxs[0] for idxs in missing.values()])
+            for (key, idxs), value in zip(missing.items(), values):
+                self.put(key, value)
+                for i in idxs:
+                    out[i] = value
+        return out
+
     def __len__(self) -> int:
         return len(self._data)
 
@@ -122,8 +178,72 @@ class LRUCache:
         )
 
 
+class _CachedHitModel(HitProbabilityModel):
+    """A hit model whose per-operation work goes through a shared cache.
+
+    Truncations and transforms come from the cache's transform map, and
+    :meth:`hit_probability_for_batch` — which :meth:`hit_probability_batch`
+    and :meth:`breakdown` resolve through — reads ``P(hit | op)`` from its
+    per-operation map.  Misses go to the base class, i.e. to the
+    module-level kernel :func:`repro.core.hitmodel.hit_probability_batch`.
+    """
+
+    def __init__(
+        self, shared: "ModelEvaluationCache", spec: MovieSizingSpec, include_end_hit: bool
+    ) -> None:
+        durations = spec.durations
+        if isinstance(durations, DurationDistribution):
+            durations = dict.fromkeys(VCROperation, durations)
+        self._shared = shared
+        self._signatures = {
+            id(dist): distribution_signature(dist) for dist in durations.values()
+        }
+        super().__init__(
+            spec.length,
+            spec.durations,
+            mix=spec.mix,
+            rates=spec.rates,
+            include_end_hit=include_end_hit,
+        )
+        self._operation_keys = {
+            op: (
+                op,
+                self._signatures[id(durations[op])],
+                include_end_hit,
+                self._num_offset_nodes,
+            )
+            for op in VCROperation
+        }
+
+    def _prepare(self, dist: DurationDistribution) -> tuple[DurationDistribution, CdfTransform]:
+        key = (self._signatures[id(dist)], self.movie_length)
+        prepare = super()._prepare
+        return self._shared._transforms.get_or_compute(key, lambda: prepare(dist))
+
+    def hit_probability_for_batch(
+        self, operation: VCROperation, configs: Sequence[SystemConfiguration]
+    ) -> list[float]:
+        for config in configs:
+            self._check_config(config)
+        prefix = self._operation_keys[operation]
+        quantise = self._shared._quantise
+        keys = [
+            prefix
+            + (c.movie_length, c.rates, c.num_partitions, quantise(c.buffer_minutes))
+            for c in configs
+        ]
+        evaluate = super().hit_probability_for_batch
+        return self._shared._operations.get_many(
+            keys, lambda firsts: evaluate(operation, [configs[i] for i in firsts])
+        )
+
+
 class ModelEvaluationCache:
-    """Shared memoisation layer for model construction and ``P(hit)`` sweeps."""
+    """Shared memoisation layer for model construction and ``P(hit)`` sweeps.
+
+    ``max_models`` bounds the model and the transform maps,
+    ``max_evaluations`` the mixed and the per-operation value maps.
+    """
 
     def __init__(
         self,
@@ -137,6 +257,8 @@ class ModelEvaluationCache:
             )
         self._models = LRUCache(max_models)
         self._evaluations = LRUCache(max_evaluations)
+        self._transforms = LRUCache(max_models)
+        self._operations = LRUCache(max_evaluations)
         self._quantum = buffer_quantum_minutes
 
     # ------------------------------------------------------------------
@@ -151,13 +273,15 @@ class ModelEvaluationCache:
     def model_for(
         self, spec: MovieSizingSpec, include_end_hit: bool = True
     ) -> HitProbabilityModel:
-        """The hit model of a spec, constructed at most once per signature."""
+        """The hit model of a spec, constructed at most once per signature.
+
+        The model resolves its transforms and per-operation values through
+        this cache; its values equal ``spec.build_model()``'s bit for bit.
+        """
         key = (spec_signature(spec), include_end_hit)
-        model = self._models.get(key, _MISS)
-        if model is _MISS:
-            model = spec.build_model(include_end_hit=include_end_hit)
-            self._models.put(key, model)
-        return model  # type: ignore[return-value]
+        return self._models.get_or_compute(
+            key, lambda: _CachedHitModel(self, spec, include_end_hit)
+        )
 
     def hit_probability(
         self,
@@ -189,26 +313,14 @@ class ModelEvaluationCache:
         keys = [
             (sig, include_end_hit, int(n), self._quantise(b)) for n, b in points
         ]
-        out: list = [None] * len(points)
-        missing: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for i, key in enumerate(keys):
-            cached = self._evaluations.get(key, _MISS)
-            if cached is _MISS:
-                missing.setdefault(key, []).append(i)
-            else:
-                out[i] = cached
-        if missing:
+
+        def evaluate(firsts: list[int]) -> list[float]:
             model = self.model_for(spec, include_end_hit=include_end_hit)
-            configs = [
-                model.configuration(int(points[idxs[0]][0]), points[idxs[0]][1])
-                for idxs in missing.values()
-            ]
-            values = model.hit_probability_batch(configs)
-            for key, idxs, value in zip(missing, missing.values(), values):
-                self._evaluations.put(key, value)
-                for i in idxs:
-                    out[i] = value
-        return out
+            return model.hit_probability_batch(
+                [model.configuration(int(points[i][0]), points[i][1]) for i in firsts]
+            )
+
+        return self._evaluations.get_many(keys, evaluate)
 
     def feasible_set(
         self, spec: MovieSizingSpec, include_end_hit: bool = True, points=None
@@ -234,13 +346,18 @@ class ModelEvaluationCache:
         return self._evaluations.stats
 
     def stats(self) -> dict[str, CacheStats]:
-        """Both caches' counters, keyed for reports."""
-        return {"models": self.model_stats, "evaluations": self.evaluation_stats}
+        """Every map's counters, keyed for reports."""
+        return {
+            "models": self.model_stats,
+            "evaluations": self.evaluation_stats,
+            "operations": self._operations.stats,
+            "transforms": self._transforms.stats,
+        }
 
     def clear(self) -> None:
-        """Drop all cached models and evaluations (counters survive)."""
-        self._models.clear()
-        self._evaluations.clear()
+        """Drop every cached entry (counters survive)."""
+        for cache in (self._models, self._evaluations, self._operations, self._transforms):
+            cache.clear()
 
 
 class CachedFeasibleSet(FeasibleSet):

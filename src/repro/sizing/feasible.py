@@ -40,20 +40,32 @@ def distribution_signature(dist: DurationDistribution) -> tuple:
 
     Walks the ``__slots__`` of the concrete class (every distribution in
     :mod:`repro.distributions` is slotted): scalars contribute their value,
-    nested distributions recurse, and array-valued slots (empirical knots)
-    contribute their rounded contents.  Two distributions with equal
-    signatures are behaviourally identical, which is what signature-keyed
-    caches and warm restarts need; private caches (``None``-able scalars set
-    lazily) are excluded by construction because they start as ``None``.
+    nested distributions recurse, and sequence-valued slots contribute their
+    elements — rounded numbers (empirical knots, mixture weights) or
+    recursed distributions (mixture components).  Two distributions with
+    equal signatures are behaviourally identical, which is what
+    signature-keyed caches and warm restarts need.  Slots named ``*_cache``
+    hold lazily filled memos (a truncation's mean and invariant key), not
+    parameters, and are skipped so reading ``.mean`` cannot change the
+    signature.
     """
     parts: list = [type(dist).__qualname__]
     for klass in type(dist).__mro__:
         for slot in getattr(klass, "__slots__", ()):
+            if slot.endswith("_cache"):
+                continue
             value = getattr(dist, slot, None)
             if isinstance(value, DurationDistribution):
                 parts.append(distribution_signature(value))
             elif isinstance(value, (tuple, list, np.ndarray)):
-                parts.append(tuple(round(float(v), 12) for v in value))
+                parts.append(
+                    tuple(
+                        distribution_signature(v)
+                        if isinstance(v, DurationDistribution)
+                        else round(float(v), 12)
+                        for v in value
+                    )
+                )
             elif isinstance(value, (int, float, bool)) or value is None:
                 parts.append(value)
             else:

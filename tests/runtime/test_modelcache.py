@@ -4,10 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributions import ExponentialDuration, GammaDuration
+import repro.core.hitmodel as hitmodel
+from repro.core.hitmodel import VCRMix
+from repro.core.vcrop import VCROperation
+from repro.distributions import (
+    EmpiricalDuration,
+    ExponentialDuration,
+    GammaDuration,
+    distribution_from_spec,
+    truncate,
+)
+from repro.distributions.truncated import clear_truncation_cache
 from repro.exceptions import ConfigurationError
 from repro.runtime.modelcache import LRUCache, ModelEvaluationCache
-from repro.sizing.feasible import FeasibleSet, MovieSizingSpec, spec_signature
+from repro.sizing.feasible import (
+    FeasibleSet,
+    MovieSizingSpec,
+    distribution_signature,
+    spec_signature,
+)
 
 
 def _spec(name="m0", length=120.0, max_wait=2.0, mean=None, p_star=0.5):
@@ -99,9 +114,7 @@ class TestModelEvaluationCache:
         plain = FeasibleSet(spec)
         assert cached.max_streams() == plain.max_streams()
         for n in (1, 10, 25):
-            assert cached.point(n).hit_probability == pytest.approx(
-                plain.point(n).hit_probability, abs=1e-12
-            )
+            assert cached.point(n).hit_probability == plain.point(n).hit_probability
 
     def test_repeated_sweep_hits_the_cache(self):
         spec = _spec()
@@ -184,7 +197,7 @@ class TestModelEvaluationCache:
     def test_stats_mapping(self):
         cache = ModelEvaluationCache()
         stats = cache.stats()
-        assert set(stats) == {"models", "evaluations"}
+        assert set(stats) == {"models", "evaluations", "operations", "transforms"}
 
     def test_clear_keeps_counters(self):
         spec = _spec()
@@ -193,3 +206,123 @@ class TestModelEvaluationCache:
         cache.clear()
         assert cache.evaluation_stats.entries == 0
         assert cache.evaluation_stats.misses == 1
+
+
+_MIXTURE = {
+    "family": "mixture",
+    "components": [
+        {"family": "exponential", "mean": 1.0},
+        {"family": "gamma", "shape": 2.0, "scale": 4.0},
+    ],
+    "weights": [0.3, 0.7],
+}
+_TRUNCATED = {"family": "gamma", "shape": 2.0, "scale": 4.0, "truncate_at": 60.0}
+
+
+class TestDistributionSignature:
+    @pytest.mark.parametrize("dist_spec", [_MIXTURE, _TRUNCATED], ids=["mixture", "truncated"])
+    def test_composite_spec_through_the_cache(self, dist_spec):
+        spec = MovieSizingSpec(
+            name="m0", length=120.0, max_wait=2.0, durations=distribution_from_spec(dist_spec)
+        )
+        cache = ModelEvaluationCache()
+        assert cache.model_for(spec) is cache.model_for(spec)
+        config = spec.build_model().configuration(10, 100.0)
+        assert cache.hit_probability(spec, 10, 100.0) == spec.build_model().hit_probability(
+            config
+        )
+
+    def test_equal_composites_equal_signatures(self):
+        assert distribution_signature(distribution_from_spec(_MIXTURE)) == (
+            distribution_signature(distribution_from_spec(_MIXTURE))
+        )
+        other = dict(_MIXTURE, weights=[0.4, 0.6])
+        assert distribution_signature(distribution_from_spec(other)) != (
+            distribution_signature(distribution_from_spec(_MIXTURE))
+        )
+
+    def test_reading_the_mean_keeps_the_signature(self):
+        clear_truncation_cache()
+        dist = truncate(GammaDuration(shape=2.0, scale=4.0), 60.0)
+        before = distribution_signature(dist)
+        assert dist.mean > 0.0
+        assert distribution_signature(dist) == before
+
+
+def _gamma_spec(**overrides):
+    fields = {"name": "m0", "length": 120.0, "max_wait": 2.0}
+    fields["durations"] = GammaDuration.paper_figure7()
+    return MovieSizingSpec(**{**fields, **overrides})
+
+
+_EXACTNESS_SPECS = {
+    "gamma": _gamma_spec(),
+    "exponential": _gamma_spec(durations=ExponentialDuration(4.0)),
+    "empirical": _gamma_spec(durations=EmpiricalDuration([0.5, 1.0, 2.5, 4.0, 7.5, 12.0])),
+    "per-operation": _gamma_spec(
+        durations={
+            VCROperation.FAST_FORWARD: ExponentialDuration(3.0),
+            VCROperation.REWIND: GammaDuration(shape=2.0, scale=2.0),
+            VCROperation.PAUSE: ExponentialDuration(6.0),
+        }
+    ),
+}
+# The Eq.-(2) line plus one point off it: the same B as n = 20 at another n.
+_POINTS = [(n, 120.0 - 2.0 * n) for n in (1, 7, 20, 41, 60)] + [(3, 80.0)]
+
+
+def _record_kernel_calls(monkeypatch) -> list:
+    """Record the operation and batch size of every Eq.-(21) kernel call."""
+    calls = []
+    kernel = hitmodel.hit_probability_batch
+
+    def recording(operation, configs, *args, **kwargs):
+        calls.append((operation, len(configs)))
+        return kernel(operation, configs, *args, **kwargs)
+
+    monkeypatch.setattr(hitmodel, "hit_probability_batch", recording)
+    return calls
+
+
+class TestPerOperationReuse:
+    @pytest.mark.parametrize("name", sorted(_EXACTNESS_SPECS))
+    def test_cached_values_equal_an_uncached_model(self, name):
+        spec = _EXACTNESS_SPECS[name]
+        plain = spec.build_model()
+        configs = [plain.configuration(n, b) for n, b in _POINTS]
+        cache = ModelEvaluationCache()
+        assert cache.hit_probability_many(spec, _POINTS) == plain.hit_probability_batch(configs)
+        cached = cache.model_for(spec)
+        assert [cached.breakdown(c) for c in configs] == [plain.breakdown(c) for c in configs]
+
+    def test_mix_only_change_is_exact_and_evaluates_nothing(self, monkeypatch):
+        first = _EXACTNESS_SPECS["per-operation"]
+        second = _gamma_spec(durations=first.durations, mix=VCRMix(0.5, 0.1, 0.4))
+        plain = second.build_model()
+        configs = [plain.configuration(n, b) for n, b in _POINTS]
+        expected = plain.hit_probability_batch(configs)
+        expected_breakdowns = [plain.breakdown(c) for c in configs]
+        cache = ModelEvaluationCache()
+        cache.hit_probability_many(first, _POINTS)
+        before = cache.stats()
+        calls = _record_kernel_calls(monkeypatch)
+        assert cache.hit_probability_many(second, _POINTS) == expected
+        model = cache.model_for(second)
+        assert [model.breakdown(c) for c in configs] == expected_breakdowns
+        assert calls == []
+        after = cache.stats()
+        for name in ("operations", "transforms"):
+            assert after[name].misses == before[name].misses
+
+    def test_refitting_one_operation_re_evaluates_only_it(self, monkeypatch):
+        first = _EXACTNESS_SPECS["per-operation"]
+        refit = dict(first.durations)
+        refit[VCROperation.REWIND] = GammaDuration(shape=3.0, scale=1.5)
+        second = _gamma_spec(durations=refit)
+        plain = second.build_model()
+        expected = plain.hit_probability_batch([plain.configuration(n, b) for n, b in _POINTS])
+        cache = ModelEvaluationCache()
+        cache.hit_probability_many(first, _POINTS)
+        calls = _record_kernel_calls(monkeypatch)
+        assert cache.hit_probability_many(second, _POINTS) == expected
+        assert calls == [(VCROperation.REWIND, len(_POINTS))]

@@ -1,12 +1,12 @@
-"""Deterministic partition-window kinematics.
+"""Partition-window geometry: the one definition of a *hit*.
 
 Under static partitioning the movie is restarted every ``l/n`` minutes
 (stream ``j`` starts at ``j * l/n``), each stream's playhead advances at the
 playback rate, and its buffer partition retains the trailing ``B/n`` minutes
 of video while the stream is active.  Everything about the windows is
-therefore a closed-form function of time, which lets the simulator answer
-"does any partition cover movie position ``q`` at time ``t``?" in O(1)
-integer arithmetic instead of scanning streams.
+therefore a closed-form function of time, which answers "does any partition
+cover movie position ``q`` at time ``t``?" in O(1) integer arithmetic
+instead of scanning streams.
 
 A partition's buffer window *outlives* its I/O stream: when the playhead
 reaches the end of the movie the stream is released, but the retained tail
@@ -15,7 +15,10 @@ minutes behind) finishes — this is precisely why the paper reserves ``delta``
 per partition, and what makes its *partial hits* (catching only the last
 viewer ``V_l`` of a partition) possible.  The window of a stream started at
 ``s_j`` is therefore ``[p_j − span, min(p_j, l)]`` for playhead
-``p_j = t − s_j`` in ``[0, l + span]``.
+``p_j = t − s_j`` in ``[0, l + span]``, and a resume at ``q`` is a hit iff
+some window covers ``q`` to within ``_TOL``.  The simulated server
+(:class:`~repro.vod.partitioning.MovieService`) applies the same window and
+tolerance to its actual live streams.
 
 Derivation of :func:`find_covering_window`: the window covers position ``q``
 iff ``q <= p_j`` and ``p_j − span <= q`` (for ``q <= l`` the cap
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from repro.core.parameters import SystemConfiguration
 from repro.exceptions import SimulationError
 
-__all__ = ["WindowHit", "StreamSchedule", "find_covering_window"]
+__all__ = ["WindowHit", "find_covering_window", "next_restart"]
 
 _TOL = 1e-9
 
@@ -53,52 +56,11 @@ class WindowHit:
     lag: float
 
 
-class StreamSchedule:
-    """The periodic restart schedule of one movie's streams."""
-
-    __slots__ = ("_config",)
-
-    def __init__(self, config: SystemConfiguration) -> None:
-        self._config = config
-
-    @property
-    def config(self) -> SystemConfiguration:
-        """The configuration whose restarts this schedule describes."""
-        return self._config
-
-    def start_time(self, stream_index: int) -> float:
-        """Start time of the ``stream_index``-th restart (0-based)."""
-        if stream_index < 0:
-            raise SimulationError(f"stream index must be >= 0, got {stream_index}")
-        return stream_index * self._config.partition_spacing
-
-    def playhead(self, stream_index: int, now: float) -> float | None:
-        """Playhead position of a stream, or ``None`` if not live at ``now``."""
-        position = now - self.start_time(stream_index)
-        if position < -_TOL or position > self._config.movie_length + _TOL:
-            return None
-        return min(max(position, 0.0), self._config.movie_length)
-
-    def next_restart(self, now: float) -> float:
-        """First restart time at or after ``now``."""
-        spacing = self._config.partition_spacing
-        index = math.ceil((now - _TOL) / spacing)
-        return max(0, index) * spacing
-
-    def live_stream_indices(self, now: float) -> range:
-        """Indices of streams active (playhead in ``[0, l]``) at ``now``."""
-        spacing = self._config.partition_spacing
-        lo = math.ceil((now - self._config.movie_length - _TOL) / spacing)
-        hi = math.floor((now + _TOL) / spacing)
-        return range(max(0, lo), max(0, hi + 1))
-
-    def enrollment_open(self, now: float) -> bool:
-        """True when a newly arrived viewer can join a partition at position 0.
-
-        Equivalent to "the most recent restart's enrollment window (length
-        ``B/n``) has not yet closed".
-        """
-        return find_covering_window(self._config, now, 0.0) is not None
+def next_restart(config: SystemConfiguration, now: float) -> float:
+    """First restart time at or after ``now``."""
+    spacing = config.partition_spacing
+    index = math.ceil((now - _TOL) / spacing)
+    return max(0, index) * spacing
 
 
 def find_covering_window(

@@ -12,9 +12,9 @@ needs watched end-to-end:
   session lifecycle, stream pool and control plane;
 * :mod:`repro.obs.spans` — the :func:`span` profiling context manager,
   aggregated into the registry as histograms;
-* :mod:`repro.obs.adapters` — exporters from the simulation-time metrics,
-  the model-evaluation cache and parallel outcomes into the registry, plus
-  the :class:`TracingObserver` server bridge;
+* :mod:`repro.obs.adapters` — exporters from the simulation-time metrics
+  and parallel outcomes into the registry, plus the
+  :class:`TracingObserver` server bridge;
 * :mod:`repro.obs.summarize` — trace replay into a run report (observed vs
   predicted ``P(hit)``, stream occupancy timeline, VCR mix);
 * :mod:`repro.obs.context` — request-scoped trace contexts (deterministic
@@ -33,7 +33,6 @@ runs of the same inputs export byte-identical files.
 
 from repro.obs.adapters import (
     TracingObserver,
-    export_cache_stats,
     export_controller_counters,
     export_parallel_outcome,
     export_sim_metrics,
@@ -117,7 +116,6 @@ __all__ = [
     "span",
     "TracingObserver",
     "export_sim_metrics",
-    "export_cache_stats",
     "export_controller_counters",
     "export_parallel_outcome",
     "MovieSummary",

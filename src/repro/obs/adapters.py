@@ -1,10 +1,9 @@
 """Bridges between the existing telemetry carriers and :mod:`repro.obs`.
 
-Three worlds already accumulate observations: the simulation-time
-:class:`~repro.sim.metrics.MetricsRegistry` (hot path, deterministic), the
-:class:`~repro.runtime.modelcache.ModelEvaluationCache` counters, and the
-parallel executor's :class:`~repro.parallel.executor.ParallelOutcome`.  The
-adapters here export each into an :class:`~repro.obs.registry.ObsRegistry`
+Two worlds already accumulate observations: the simulation-time
+:class:`~repro.sim.metrics.MetricsRegistry` (hot path, deterministic) and
+the parallel executor's :class:`~repro.parallel.executor.ParallelOutcome`.
+The adapters here export each into an :class:`~repro.obs.registry.ObsRegistry`
 after the fact — the hot paths keep their purpose-built carriers, the
 exposition gains one common format.
 
@@ -23,13 +22,11 @@ from repro.obs.trace import NullTraceWriter, TraceWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.executor import ParallelOutcome
-    from repro.runtime.modelcache import ModelEvaluationCache
     from repro.sim.metrics import MetricsRegistry
 
 __all__ = [
     "TracingObserver",
     "export_sim_metrics",
-    "export_cache_stats",
     "export_controller_counters",
     "export_parallel_outcome",
 ]
@@ -146,39 +143,6 @@ def export_controller_counters(counters, registry: ObsRegistry) -> None:
     )
     for name, value in sorted(counters.items()):
         family.labels(name).inc(value)
-
-
-def export_cache_stats(
-    cache: "ModelEvaluationCache", registry: ObsRegistry, scope: str = "driver"
-) -> None:
-    """Export a model-evaluation cache's counters (``TIER_PROCESS``).
-
-    ``scope`` distinguishes multiple caches (driver vs shard workers) in one
-    registry.
-    """
-    lookups = registry.gauge(
-        "repro_model_cache_lookups",
-        "Model-evaluation cache lookups by cache, scope and result.",
-        labelnames=("scope", "cache", "result"),
-        tier=TIER_PROCESS,
-    )
-    evictions = registry.gauge(
-        "repro_model_cache_evictions",
-        "Model-evaluation cache evictions by cache and scope.",
-        labelnames=("scope", "cache"),
-        tier=TIER_PROCESS,
-    )
-    entries = registry.gauge(
-        "repro_model_cache_entries",
-        "Model-evaluation cache current entry counts.",
-        labelnames=("scope", "cache"),
-        tier=TIER_PROCESS,
-    )
-    for name, stats in cache.stats().items():
-        lookups.labels(scope, name, "hit").set(stats.hits)
-        lookups.labels(scope, name, "miss").set(stats.misses)
-        evictions.labels(scope, name).set(stats.evictions)
-        entries.labels(scope, name).set(stats.entries)
 
 
 def export_parallel_outcome(

@@ -31,10 +31,6 @@ METRIC_CATALOG: frozenset[str] = frozenset(
         "repro_partial_actuations_total",
         # Analytic sweeps (repro.experiments.figure8).
         "repro_frontier_points_total",
-        # Model-evaluation cache telemetry (repro.obs.adapters).
-        "repro_model_cache_entries",
-        "repro_model_cache_evictions",
-        "repro_model_cache_lookups",
         # Parallel executor telemetry (repro.obs.adapters).
         "repro_parallel_map_seconds",
         "repro_parallel_shard_cache_lookups",

@@ -9,11 +9,6 @@ reaching minute 0 possibly re-enrolling) are exactly the discrepancy sources
 the paper discusses when comparing Figure 7's curves.
 """
 
-from repro.simulation.kinematics import (
-    StreamSchedule,
-    WindowHit,
-    find_covering_window,
-)
 from repro.simulation.hit_simulator import (
     HitSimulationResult,
     HitSimulator,
@@ -26,9 +21,6 @@ from repro.simulation.runner import (
 )
 
 __all__ = [
-    "StreamSchedule",
-    "WindowHit",
-    "find_covering_window",
     "HitSimulator",
     "HitSimulationResult",
     "SimulationSettings",

@@ -18,7 +18,7 @@ Mechanics implemented (Section 2 of the paper):
   system may still find an open enrollment window (the model books this as
   a miss — the second stated discrepancy); PAU freezes the position;
 * on resume, a *hit* means some live partition window covers the position
-  (checked in O(1) by :func:`~repro.simulation.kinematics.find_covering_window`).
+  (checked in O(1) by :func:`~repro.core.windows.find_covering_window`).
 
 Observations recorded before the warm-up time are discarded.
 """
@@ -31,13 +31,13 @@ from dataclasses import dataclass, field
 from repro.core.hitmodel import VCRMix
 from repro.core.parameters import SystemConfiguration
 from repro.core.vcrop import VCROperation
+from repro.core.windows import find_covering_window, next_restart
 from repro.distributions.base import DurationDistribution
 from repro.distributions.truncated import truncate
 from repro.exceptions import SimulationError
 from repro.numerics.stats import confidence_halfwidth
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
-from repro.simulation.kinematics import StreamSchedule, find_covering_window
 
 __all__ = ["SimulationSettings", "ObservedRate", "HitSimulationResult", "HitSimulator"]
 
@@ -170,7 +170,6 @@ class HitSimulator:
         self._durations = {
             op: truncate(dist, config.movie_length) for op, dist in durations.items()
         }
-        self._schedule = StreamSchedule(config)
         self._operations = tuple(VCROperation)
         self._op_weights = [mix.probability_of(op) for op in self._operations]
 
@@ -215,7 +214,7 @@ class HitSimulator:
         else:
             if env.now >= warm:
                 result.type1_viewers += 1
-            yield env.timeout(self._schedule.next_restart(env.now) - env.now)
+            yield env.timeout(next_restart(config, env.now) - env.now)
         position = 0.0
 
         while True:

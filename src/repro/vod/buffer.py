@@ -6,8 +6,8 @@ tracks those reservations, enforces the capacity constraint
 ``Σ B_i <= B_s``, and converts between minutes of video and megabytes for
 cost reporting.
 
-The per-partition *contents* are not materialised — the window kinematics of
-:mod:`repro.simulation.kinematics` describe what each partition holds at any
+The per-partition *contents* are not materialised — the window geometry of
+:mod:`repro.core.windows` describes what each partition holds at any
 instant — so the pool is pure accounting, mirroring how the paper treats
 buffer space as a scalar resource.
 """

@@ -6,11 +6,17 @@ for one popular movie: restart an I/O stream every ``l/n`` minutes, keep a
 window covers position 0, and answer hit queries against the *actual* set of
 live streams.
 
-Unlike the idealised kinematics used by the hit simulator (which assume a
-perfectly periodic restart lattice), the service tracks real restart times:
-if the stream pool is exhausted a restart is *starved* and skipped, which is
-exactly the failure mode that bad sizing produces and the end-to-end
-benchmarks measure.
+A window and its tolerance are those of :mod:`repro.core.windows`:
+``[playhead − span, min(playhead, l)]``, held to within ``_TOL``.  The
+closed form there assumes a perfectly periodic restart lattice.  This
+service keeps the real restart times instead, because the lattice breaks
+in three ways: a restart is *starved* and skipped when the stream pool is
+exhausted (the failure mode that bad sizing produces and the end-to-end
+benchmarks measure), the fault layer collapses a partition, and a
+reconfiguration changes the spacing at the next restart.  On an
+unconstrained pool with no faults and no reconfiguration, the two agree on
+every hit except at the instant a restart happens or a window ends
+(``tests/core/test_windows.py`` names both exceptions).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.core.parameters import SystemConfiguration
+from repro.core.windows import _TOL
 from repro.exceptions import SimulationError
 from repro.sim.engine import Environment, Event
 from repro.sim.metrics import MetricsRegistry
@@ -27,8 +34,6 @@ from repro.vod.movie import Movie
 from repro.vod.streams import StreamGrant, StreamPool, StreamPurpose
 
 __all__ = ["LiveStream", "MovieService"]
-
-_TOL = 1e-9
 
 
 @dataclass
@@ -224,7 +229,8 @@ class MovieService:
     def find_window(self, position: float) -> Optional[LiveStream]:
         """The youngest partition whose window covers ``position``.
 
-        The window is ``[playhead − span, min(playhead, l)]`` — the leading
+        The window is :mod:`repro.core.windows`'s
+        ``[playhead − span, min(playhead, l)]`` — the leading
         edge saturates at the end of the movie while the buffered tail is
         drained by the partition's last viewers.  Streams that pass the
         leading-edge test form a prefix of the start-ordered live list, so
@@ -282,10 +288,6 @@ class MovieService:
             if playhead >= 0.0:
                 behind = position - min(playhead, length)
         return ahead, behind
-
-    def enrollment_open(self) -> bool:
-        """Can a new arrival start reading position 0 from a partition now?"""
-        return self.find_window(0.0) is not None
 
     def wait_for_restart(self) -> Event:
         """Event that fires at the next successful restart (type-1 queueing)."""

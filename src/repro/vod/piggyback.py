@@ -15,6 +15,9 @@ picks the cheaper drift direction and computes the merge time analytically:
   ``gap_ahead / ε`` wall minutes — unless the movie ends first;
 * drift *backward* (display at ``1 − ε``): the partition behind gains on the
   viewer at the same relative speed.
+
+The gaps are measured on the actual live streams by
+:meth:`~repro.vod.partitioning.MovieService.live_gaps`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.parameters import SystemConfiguration
 from repro.exceptions import ConfigurationError
-from repro.simulation.kinematics import find_covering_window
 
 __all__ = ["MergePlan", "PiggybackPolicy"]
 
@@ -69,31 +70,6 @@ class PiggybackPolicy:
         """The display-rate deviation epsilon."""
         return self._epsilon
 
-    def plan(
-        self, config: SystemConfiguration, now: float, position: float
-    ) -> MergePlan:
-        """Plan the cheapest merge for a viewer at ``position`` at time ``now``.
-
-        Uses the idealised periodic restart lattice; the server simulation
-        computes gaps from its actual live streams and calls
-        :meth:`plan_from_gaps` instead.  If a window already covers the
-        position the plan is an immediate no-op merge ("none", 0 minutes).
-        """
-        length = config.movie_length
-        playback = config.rates.playback
-        minutes_to_end = (length - position) / playback
-        if find_covering_window(config, now, position) is not None:
-            return MergePlan(direction="none", wall_minutes=0.0, minutes_to_end=minutes_to_end)
-        if config.partition_span <= 0.0:
-            # Pure batching: no windows exist; the stream is pinned to the end.
-            return MergePlan(
-                direction="none", wall_minutes=math.inf, minutes_to_end=minutes_to_end
-            )
-        gap_ahead, gap_behind = self._gaps(config, now, position)
-        return self.plan_from_gaps(
-            gap_ahead, gap_behind, minutes_to_end, playback_rate=playback
-        )
-
     def plan_from_gaps(
         self,
         gap_ahead: float | None,
@@ -135,35 +111,3 @@ class PiggybackPolicy:
         return MergePlan(
             direction="backward", wall_minutes=backward_time, minutes_to_end=minutes_to_end
         )
-
-    def _gaps(
-        self, config: SystemConfiguration, now: float, position: float
-    ) -> tuple[float | None, float | None]:
-        """Distance to the trailing edge ahead and the leading edge behind.
-
-        Live playheads form the lattice ``phi + k*spacing`` (``phi = now mod
-        spacing``) intersected with ``[0, min(now, l)]``, so the nearest
-        neighbours in each direction are closed-form.  Both gaps are measured
-        in movie minutes; ``None`` means no live partition in that direction
-        (e.g. a fast-forwarder ahead of every stream during startup).
-        """
-        spacing = config.partition_spacing
-        span = config.partition_span
-        phi = math.fmod(now, spacing)
-        top = min(now, config.movie_length)
-        tiny = 1e-9
-
-        # Nearest leading edge strictly behind the viewer.
-        behind: float | None = None
-        k_behind = math.floor((position - phi - tiny) / spacing)
-        p_behind = phi + k_behind * spacing
-        if 0.0 <= p_behind <= top + tiny:
-            behind = position - p_behind
-
-        # Nearest trailing edge strictly ahead of the viewer.
-        ahead: float | None = None
-        k_ahead = math.ceil((position + span - phi + tiny) / spacing)
-        p_ahead = phi + k_ahead * spacing
-        if 0.0 <= p_ahead <= top + tiny:
-            ahead = (p_ahead - span) - position
-        return ahead, behind

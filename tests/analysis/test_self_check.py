@@ -64,9 +64,6 @@ class TestPinnedSchemas:
             "repro_chaos_sessions_dropped_total",
             "repro_controller_decisions_total",
             "repro_frontier_points_total",
-            "repro_model_cache_entries",
-            "repro_model_cache_evictions",
-            "repro_model_cache_lookups",
             "repro_parallel_map_seconds",
             "repro_parallel_shard_cache_lookups",
             "repro_parallel_shard_seconds",

@@ -1,4 +1,5 @@
-"""Window kinematics: the O(1) covering-window query against brute force."""
+"""Window kinematics (:mod:`repro.core.windows`): the O(1) covering-window
+query against brute force, and the periodic restart schedule."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.parameters import SystemConfiguration
 from repro.exceptions import SimulationError
-from repro.simulation.kinematics import StreamSchedule, find_covering_window
+from repro.core.windows import find_covering_window, next_restart
 
 
 @pytest.fixture
@@ -44,41 +45,21 @@ def brute_force_window(config, now, position):
 
 
 class TestStreamSchedule:
-    def test_start_times(self, config):
-        schedule = StreamSchedule(config)
-        assert schedule.start_time(0) == 0.0
-        assert schedule.start_time(5) == pytest.approx(20.0)
-        with pytest.raises(SimulationError):
-            schedule.start_time(-1)
-
-    def test_playhead_lifecycle(self, config):
-        schedule = StreamSchedule(config)
-        assert schedule.playhead(0, 50.0) == pytest.approx(50.0)
-        assert schedule.playhead(0, 121.0) is None     # stream finished
-        assert schedule.playhead(5, 10.0) is None      # not yet started
+    """The periodic restart schedule: the next restart, and the enrollment
+    window that keeps position 0 covered for ``B/n`` after each restart."""
 
     def test_next_restart(self, config):
-        schedule = StreamSchedule(config)
-        assert schedule.next_restart(0.0) == 0.0
-        assert schedule.next_restart(0.1) == pytest.approx(4.0)
-        assert schedule.next_restart(4.0) == pytest.approx(4.0)
-        assert schedule.next_restart(9.3) == pytest.approx(12.0)
-
-    def test_live_stream_indices(self, config):
-        schedule = StreamSchedule(config)
-        live = schedule.live_stream_indices(200.0)
-        # Streams live at t=200: start in (80, 200] -> indices 20..50.
-        assert live == range(20, 51)
-        for index in (20, 35, 50):
-            assert schedule.playhead(index, 200.0) is not None
+        assert next_restart(config, 0.0) == 0.0
+        assert next_restart(config, 0.1) == pytest.approx(4.0)
+        assert next_restart(config, 4.0) == pytest.approx(4.0)
+        assert next_restart(config, 9.3) == pytest.approx(12.0)
 
     def test_enrollment_open_tracks_span(self, config):
-        schedule = StreamSchedule(config)
         # Right after the restart at t=400 (multiple of 4), position 0 is
         # covered until the playhead passes span=3.
-        assert schedule.enrollment_open(400.5)
-        assert schedule.enrollment_open(402.9)
-        assert not schedule.enrollment_open(403.5)
+        assert find_covering_window(config, 400.5, 0.0) is not None
+        assert find_covering_window(config, 402.9, 0.0) is not None
+        assert find_covering_window(config, 403.5, 0.0) is None
 
 
 class TestFindCoveringWindow:

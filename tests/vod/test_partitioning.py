@@ -95,9 +95,9 @@ class TestWindows:
         env, pool, metrics, service = make_service(n=6, buffer_minutes=60.0)
         service.start()
         env.run(until=0.5)
-        assert service.enrollment_open()
+        assert service.find_window(0.0) is not None
         env.run(until=11.0)  # span 10 passed, next restart at 20
-        assert not service.enrollment_open()
+        assert service.find_window(0.0) is None
 
     def test_wait_for_restart_signal(self):
         env, pool, metrics, service = make_service()

@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.parameters import SystemConfiguration
 from repro.exceptions import ConfigurationError
+from repro.sim.engine import Environment
+from repro.sim.metrics import MetricsRegistry
+from repro.vod.movie import Movie
+from repro.vod.partitioning import MovieService
 from repro.vod.piggyback import MergePlan, PiggybackPolicy
+from repro.vod.streams import StreamPool
 
 
 @pytest.fixture
@@ -45,21 +50,35 @@ class TestPlanFromGaps:
         assert plan.hold_minutes == pytest.approx(10.0)
 
 
-class TestPlanAgainstLattice:
-    def test_in_window_is_noop(self, config):
-        policy = PiggybackPolicy()
-        # t=100: playheads 100, 80, 60, ...; windows [90,100], [70,80], ...
-        plan = policy.plan(config, now=100.0, position=95.0)
-        assert plan.direction == "none"
-        assert plan.wall_minutes == 0.0
+def live_plan(config, now, position, policy):
+    """Plan as the server does: gaps from an unconstrained MovieService's
+    live streams, which restart on the periodic lattice, fed to
+    ``plan_from_gaps``."""
+    env = Environment()
+    metrics = MetricsRegistry()
+    pool = StreamPool(env, 2 * config.num_partitions + 2, metrics)
+    movie = Movie(0, "m", config.movie_length, popularity=1.0)
+    service = MovieService(env, movie, config, pool, metrics)
+    service.start()
+    env.run(until=now)
+    assert service.find_window(position) is None
+    gap_ahead, gap_behind = service.live_gaps(position)
+    playback = config.rates.playback
+    minutes_to_end = (config.movie_length - position) / playback
+    plan = policy.plan_from_gaps(
+        gap_ahead, gap_behind, minutes_to_end, playback_rate=playback
+    )
+    return env, service, plan
 
+
+class TestPlanAgainstLattice:
     def test_wide_gap_runs_to_end(self, config):
         """With spacing 20 / span 10, a mid-gap viewer is ~5 minutes from a
         window; at 5% drift the merge needs ~100 wall minutes - longer than
         the remaining session, so the stream stays pinned.  This is exactly
         the paper's argument for keeping gaps (waits) small."""
         policy = PiggybackPolicy(rate_tolerance=0.05)
-        plan = policy.plan(config, now=100.0, position=85.0)
+        _, _, plan = live_plan(config, 100.0, 85.0, policy)
         assert not plan.merges
         assert plan.hold_minutes == pytest.approx(35.0)
 
@@ -68,31 +87,23 @@ class TestPlanAgainstLattice:
         config = SystemConfiguration(120.0, 30, 90.0)
         policy = PiggybackPolicy(rate_tolerance=0.05)
         # Position 44.5 at t=100 sits mid-gap (44, 45).
-        plan = policy.plan(config, now=100.0, position=44.5)
+        _, _, plan = live_plan(config, 100.0, 44.5, policy)
         assert plan.direction == "forward"
         assert plan.merges
         assert plan.wall_minutes == pytest.approx(0.5 / 0.05)
 
-    def test_pure_batching_never_merges(self):
-        config = SystemConfiguration.pure_batching(120.0, 6)
-        policy = PiggybackPolicy()
-        plan = policy.plan(config, now=100.0, position=85.0)
-        assert not plan.merges
-        assert plan.hold_minutes == pytest.approx((120.0 - 85.0))
-
     def test_merge_consistency_simulated(self):
-        """Simulate the drift: after wall_minutes at (1+eps), the viewer is
-        inside a window."""
+        """Simulate the drift: after wall_minutes at (1+eps), a live
+        partition covers the viewer."""
         config = SystemConfiguration(120.0, 30, 90.0)
         policy = PiggybackPolicy(rate_tolerance=0.05)
         now, position = 100.0, 44.5
-        plan = policy.plan(config, now, position)
+        env, service, plan = live_plan(config, now, position, policy)
         assert plan.direction == "forward"
         t = plan.wall_minutes
+        env.run(until=now + t)
         viewer_pos = position + t * 1.05
-        from repro.simulation.kinematics import find_covering_window
-
-        assert find_covering_window(config, now + t, min(viewer_pos, 120.0)) is not None
+        assert service.find_window(min(viewer_pos, 120.0)) is not None
 
 
 class TestValidation:

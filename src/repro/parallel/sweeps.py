@@ -71,7 +71,8 @@ def evaluate_frontier(task: FrontierTask) -> MovieFrontier:
 
     Module-level so the executor can pickle it by reference; all evaluation
     goes through the worker-local shared cache, so a movie re-swept in the
-    same worker reuses its constructed model and every prior point.
+    same worker reuses its distributions' transforms and every prior
+    ``P(hit | op)``.
     """
     cache = worker_cache()
     feasible = cache.feasible_set(

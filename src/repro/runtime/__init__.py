@@ -12,8 +12,9 @@ loop closed while traffic drifts.  This package is that loop:
   observer) or by a JSON-lines trace replay;
 * :mod:`repro.runtime.refit` — incremental distribution re-fitting gated by
   a Kolmogorov–Smirnov drift detector, so stationary traffic does no work;
-* :mod:`repro.runtime.modelcache` — a keyed, bounded memoisation layer over
-  hit-model evaluations and feasible-set sweeps (quantised keys, LRU
+* :mod:`repro.runtime.modelcache` — a keyed, bounded memoisation of each
+  operation's ``P(hit | op)`` and each distribution's CDF transform, shared
+  by every model and feasible set a re-plan builds (quantised keys, LRU
   eviction, hit/miss counters);
 * :mod:`repro.runtime.controller` — the background re-planner that turns
   drift into an :class:`~repro.runtime.controller.AllocationDelta` under the

@@ -5,6 +5,11 @@ let the drift detector decide whether any movie's statistics moved, rebuild
 the :class:`~repro.sizing.feasible.MovieSizingSpec` set from the refreshed
 fits, re-run the Section-5 optimisation under the global stream budget, and
 — only if the new plan is genuinely better — emit a delta for the actuator.
+Every re-plan builds a fresh :class:`~repro.sizing.planner.SystemSizer`
+whose feasible sets, and the per-movie models they hold, resolve
+``P(hit | op)`` through one shared
+:class:`~repro.runtime.modelcache.ModelEvaluationCache`: an operation whose
+fit did not change costs no kernel evaluation, whatever the mix does.
 
 Hysteresis keeps the plan from churning.  Three gates run in order:
 
@@ -351,7 +356,7 @@ class CapacityController:
         new_map = result.as_configuration_map(
             {slot.name: slot.movie_id for slot in self._slots.values()}
         )
-        new_score = self._score(new_map, specs, snapshots)
+        new_score = self._score(new_map, snapshots)
         old_score: float | None = None
         if not bootstrap:
             if new_map == self._current:
@@ -359,7 +364,7 @@ class CapacityController:
                 self.skipped_no_improvement += 1
                 self._trace_decision(now, "no_improvement")
                 return None
-            old_score = self._score(self._current, specs, snapshots)
+            old_score = self._score(self._current, snapshots)
             required = old_score * (1.0 - self.policy.min_improvement)
             if new_score > required:
                 self.skipped_no_improvement += 1
@@ -430,30 +435,24 @@ class CapacityController:
         factory = lambda spec, end_hit: self._cache.feasible_set(  # noqa: E731
             spec, include_end_hit=end_hit
         )
-        if self._sizer is None:
-            self._sizer = SystemSizer(
-                specs,
-                include_end_hit=self.policy.include_end_hit,
-                feasible_factory=factory,
-            )
-        else:
-            # Warm restart: undrifted movies keep their evaluated frontiers.
-            self._sizer = self._sizer.refreshed(specs)
+        self._sizer = SystemSizer(
+            specs, include_end_hit=self.policy.include_end_hit, feasible_factory=factory
+        )
         return self._sizer.solve(self.policy.stream_budget).result
 
     def _score(
         self,
         allocation: Mapping[int, SystemConfiguration],
-        specs: Sequence[MovieSizingSpec],
         snapshots: Mapping[int, TelemetrySnapshot],
     ) -> float:
         """Predicted offered VCR-stream load (erlangs) under one plan.
 
         Both the incumbent and the candidate are scored with *current*
-        statistics, so the comparison isolates the plan itself.  Movies whose
-        arrival rate is still unknown contribute nothing to either side.
+        statistics — the models of the re-plan's feasible sets — so the
+        comparison isolates the plan itself.  Movies whose arrival rate is
+        still unknown contribute nothing to either side.
         """
-        by_name = {spec.name: spec for spec in specs}
+        models = {fs.spec.name: fs.model for fs in self._sizer.feasible_sets}
         total = 0.0
         for movie_id, config in allocation.items():
             slot = self._slots.get(movie_id)
@@ -462,13 +461,9 @@ class CapacityController:
             snapshot = snapshots.get(movie_id)
             if snapshot is None or snapshot.arrival_rate is None:
                 continue
-            spec = by_name[slot.name]
-            model = self._cache.model_for(
-                spec, include_end_hit=self.policy.include_end_hit
-            )
             think = snapshot.mean_think_time
             load = VCRLoadModel(
-                model=model,
+                model=models[slot.name],
                 config=config,
                 viewer_arrival_rate=snapshot.arrival_rate,
                 mean_think_time=think if think and think > 0.0 else 15.0,

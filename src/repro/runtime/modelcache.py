@@ -1,4 +1,4 @@
-"""Keyed, bounded memoisation for hit-model and feasible-set evaluations.
+"""Keyed, bounded memoisation of the per-operation hit probabilities.
 
 The controller re-plans on every accepted drift, and a re-plan sweeps the
 ``B = l − n·w`` line of every movie through :class:`HitProbabilityModel` —
@@ -11,17 +11,10 @@ repeats is underneath: Eq. (22) is ``Σ p_op · P(hit | op)``, and each
 ``P(hit | op)`` depends only on that operation's duration distribution,
 ``l``, the rates and ``(B, n)`` — not on the mix.  A refit usually replaces
 one operation's fit and leaves the others alone.
-:class:`ModelEvaluationCache` therefore keeps four bounded LRU maps:
+:class:`ModelEvaluationCache` therefore keeps two bounded LRU maps:
 
-* **models**, keyed by the structural signature of a
-  :class:`~repro.sizing.feasible.MovieSizingSpec` (mix included), so equal
-  specs share one model object;
-* **evaluations**, the mixed ``P(hit)`` keyed by ``(spec signature,
-  end-hit, n, quantised B)``, so repeated frontier sweeps within a tick
-  (bisection in ``max_streams``, the optimiser's marginal-gain walk) cost a
-  dictionary lookup each;
 * **operations**, ``P(hit | op)`` keyed by ``(op, distribution signature,
-  l, rates, end-hit, offset nodes, n, quantised B)``: every model the cache
+  end-hit, offset nodes, l, rates, n, quantised B)``: every model the cache
   builds resolves its per-operation batches here, so a mix-only change or
   an unchanged operation costs no kernel evaluation across ticks;
 * **transforms**, the ``(truncated duration, CdfTransform)`` pair keyed by
@@ -49,13 +42,7 @@ from repro.core.parameters import SystemConfiguration
 from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
 from repro.exceptions import ConfigurationError
-from repro.sizing.feasible import (
-    FeasiblePoint,
-    FeasibleSet,
-    MovieSizingSpec,
-    distribution_signature,
-    spec_signature,
-)
+from repro.sizing.feasible import FeasibleSet, MovieSizingSpec, distribution_signature
 
 __all__ = ["CacheStats", "LRUCache", "ModelEvaluationCache", "CachedFeasibleSet"]
 
@@ -63,6 +50,17 @@ __all__ = ["CacheStats", "LRUCache", "ModelEvaluationCache", "CachedFeasibleSet"
 #: value — including ``None`` and falsy ones — so a miss is signalled by this
 #: sentinel (or a caller-supplied default), never by ``None``.
 _MISS = object()
+
+#: Bound of the transform map: distinct (distribution, length) pairs kept.
+_MAX_TRANSFORMS = 64
+#: Bound of the per-operation map: ``P(hit | op)`` values kept.
+_MAX_EVALUATIONS = 8192
+#: Buffer minutes closer than this share one per-operation key.
+_BUFFER_QUANTUM_MINUTES = 1e-4
+
+
+def _quantise(buffer_minutes: float) -> int:
+    return round(buffer_minutes / _BUFFER_QUANTUM_MINUTES)
 
 
 @dataclass(frozen=True)
@@ -226,10 +224,9 @@ class _CachedHitModel(HitProbabilityModel):
         for config in configs:
             self._check_config(config)
         prefix = self._operation_keys[operation]
-        quantise = self._shared._quantise
         keys = [
             prefix
-            + (c.movie_length, c.rates, c.num_partitions, quantise(c.buffer_minutes))
+            + (c.movie_length, c.rates, c.num_partitions, _quantise(c.buffer_minutes))
             for c in configs
         ]
         evaluate = super().hit_probability_for_batch
@@ -239,88 +236,27 @@ class _CachedHitModel(HitProbabilityModel):
 
 
 class ModelEvaluationCache:
-    """Shared memoisation layer for model construction and ``P(hit)`` sweeps.
+    """Shared memoisation of per-operation ``P(hit | op)`` and of transforms.
 
-    ``max_models`` bounds the model and the transform maps,
-    ``max_evaluations`` the mixed and the per-operation value maps.
+    The transform map holds ``_MAX_TRANSFORMS`` entries and the
+    per-operation map ``_MAX_EVALUATIONS``; buffer minutes are keyed on a
+    ``_BUFFER_QUANTUM_MINUTES`` grid.
     """
 
-    def __init__(
-        self,
-        max_models: int = 64,
-        max_evaluations: int = 8192,
-        buffer_quantum_minutes: float = 1e-4,
-    ) -> None:
-        if buffer_quantum_minutes <= 0.0:
-            raise ConfigurationError(
-                f"buffer_quantum_minutes must be positive, got {buffer_quantum_minutes}"
-            )
-        self._models = LRUCache(max_models)
-        self._evaluations = LRUCache(max_evaluations)
-        self._transforms = LRUCache(max_models)
-        self._operations = LRUCache(max_evaluations)
-        self._quantum = buffer_quantum_minutes
+    def __init__(self) -> None:
+        self._transforms = LRUCache(_MAX_TRANSFORMS)
+        self._operations = LRUCache(_MAX_EVALUATIONS)
 
-    # ------------------------------------------------------------------
-    # Keys.
-    # ------------------------------------------------------------------
-    def _quantise(self, buffer_minutes: float) -> int:
-        return round(buffer_minutes / self._quantum)
-
-    # ------------------------------------------------------------------
-    # Cached lookups.
-    # ------------------------------------------------------------------
     def model_for(
         self, spec: MovieSizingSpec, include_end_hit: bool = True
     ) -> HitProbabilityModel:
-        """The hit model of a spec, constructed at most once per signature.
+        """A hit model of ``spec`` that resolves its work through this cache.
 
-        The model resolves its transforms and per-operation values through
-        this cache; its values equal ``spec.build_model()``'s bit for bit.
+        Each call builds a new model, but its transforms and per-operation
+        values come from the shared maps; its values equal
+        ``spec.build_model()``'s bit for bit.
         """
-        key = (spec_signature(spec), include_end_hit)
-        return self._models.get_or_compute(
-            key, lambda: _CachedHitModel(self, spec, include_end_hit)
-        )
-
-    def hit_probability(
-        self,
-        spec: MovieSizingSpec,
-        num_streams: int,
-        buffer_minutes: float,
-        include_end_hit: bool = True,
-    ) -> float:
-        """``P(hit)`` at one ``(n, B)`` point, memoised on the quantised key."""
-        return self.hit_probability_many(
-            spec, [(num_streams, buffer_minutes)], include_end_hit=include_end_hit
-        )[0]
-
-    def hit_probability_many(
-        self,
-        spec: MovieSizingSpec,
-        points: "list[tuple[int, float]]",
-        include_end_hit: bool = True,
-    ) -> list[float]:
-        """``P(hit)`` at many ``(n, B)`` points, with bulk cache semantics.
-
-        Every requested point performs exactly one cache lookup (so the
-        hit/miss counters advance as if the points had been requested one by
-        one), misses are deduplicated on the quantised key, evaluated in a
-        single :meth:`HitProbabilityModel.hit_probability_batch` call, and
-        stored individually (preserving LRU eviction accounting).
-        """
-        sig = spec_signature(spec)
-        keys = [
-            (sig, include_end_hit, int(n), self._quantise(b)) for n, b in points
-        ]
-
-        def evaluate(firsts: list[int]) -> list[float]:
-            model = self.model_for(spec, include_end_hit=include_end_hit)
-            return model.hit_probability_batch(
-                [model.configuration(int(points[i][0]), points[i][1]) for i in firsts]
-            )
-
-        return self._evaluations.get_many(keys, evaluate)
+        return _CachedHitModel(self, spec, include_end_hit)
 
     def feasible_set(
         self, spec: MovieSizingSpec, include_end_hit: bool = True, points=None
@@ -332,41 +268,29 @@ class ModelEvaluationCache:
         """
         return CachedFeasibleSet(spec, self, include_end_hit=include_end_hit, points=points)
 
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-    @property
-    def model_stats(self) -> CacheStats:
-        """Counters of the model-construction cache."""
-        return self._models.stats
-
     @property
     def evaluation_stats(self) -> CacheStats:
-        """Counters of the ``P(hit)`` point cache."""
-        return self._evaluations.stats
+        """Counters of the per-operation ``P(hit | op)`` map."""
+        return self._operations.stats
 
     def stats(self) -> dict[str, CacheStats]:
         """Every map's counters, keyed for reports."""
-        return {
-            "models": self.model_stats,
-            "evaluations": self.evaluation_stats,
-            "operations": self._operations.stats,
-            "transforms": self._transforms.stats,
-        }
+        return {"operations": self.evaluation_stats, "transforms": self._transforms.stats}
 
     def clear(self) -> None:
         """Drop every cached entry (counters survive)."""
-        for cache in (self._models, self._evaluations, self._operations, self._transforms):
-            cache.clear()
+        self._operations.clear()
+        self._transforms.clear()
 
 
 class CachedFeasibleSet(FeasibleSet):
     """A feasibility frontier that reads and feeds a shared evaluation cache.
 
     Identical contract to :class:`FeasibleSet`; the only difference is that
-    :meth:`point` resolves ``P(hit)`` through the shared
-    :class:`ModelEvaluationCache`, so two frontiers built for the same spec —
-    e.g. this tick's re-plan and the next tick's — share every evaluation.
+    its model comes from :meth:`ModelEvaluationCache.model_for`, so two
+    frontiers whose specs share a duration distribution — e.g. this tick's
+    re-plan and the next tick's, under a new mix — share its ``P(hit | op)``
+    values.
     """
 
     def __init__(
@@ -387,18 +311,3 @@ class CachedFeasibleSet(FeasibleSet):
                 self.spec, include_end_hit=self._include_end_hit
             )
         return self._model
-
-    def _evaluate_missing(self, stream_counts: list[int]) -> None:
-        # Same bulk evaluation as the base class, but resolved through the
-        # shared evaluation cache — one lookup per point, one batched model
-        # call for the misses.
-        buffers = [self._buffer_for(n) for n in stream_counts]
-        values = self._shared.hit_probability_many(
-            self.spec,
-            list(zip(stream_counts, buffers)),
-            include_end_hit=self._include_end_hit,
-        )
-        for n, b, value in zip(stream_counts, buffers, values):
-            self._cache[n] = FeasiblePoint(
-                num_streams=n, buffer_minutes=b, hit_probability=value
-            )

@@ -31,7 +31,6 @@ __all__ = [
     "FeasiblePoint",
     "FeasibleSet",
     "distribution_signature",
-    "spec_signature",
 ]
 
 
@@ -43,11 +42,11 @@ def distribution_signature(dist: DurationDistribution) -> tuple:
     nested distributions recurse, and sequence-valued slots contribute their
     elements — rounded numbers (empirical knots, mixture weights) or
     recursed distributions (mixture components).  Two distributions with
-    equal signatures are behaviourally identical, which is what
-    signature-keyed caches and warm restarts need.  Slots named ``*_cache``
-    hold lazily filled memos (a truncation's mean and invariant key), not
-    parameters, and are skipped so reading ``.mean`` cannot change the
-    signature.
+    equal signatures are behaviourally identical, which is why the runtime
+    evaluation cache keys its transforms and ``P(hit | op)`` values on them.
+    Slots named ``*_cache`` hold lazily filled memos (a truncation's mean
+    and invariant key), not parameters, and are skipped so reading
+    ``.mean`` cannot change the signature.
     """
     parts: list = [type(dist).__qualname__]
     for klass in type(dist).__mro__:
@@ -71,37 +70,6 @@ def distribution_signature(dist: DurationDistribution) -> tuple:
             else:
                 parts.append(repr(value))
     return tuple(parts)
-
-
-def spec_signature(spec: "MovieSizingSpec") -> tuple:
-    """A hashable fingerprint of everything that shapes a spec's frontier.
-
-    Equal signatures mean the spec would produce an identical
-    :class:`HitProbabilityModel` and feasibility frontier — the test both the
-    runtime evaluation cache and :meth:`SystemSizer.refreshed
-    <repro.sizing.planner.SystemSizer.refreshed>` use to decide whether old
-    results can be reused.
-    """
-    if isinstance(spec.durations, dict):
-        durations_sig = tuple(
-            (op.value, distribution_signature(spec.durations[op]))
-            for op in VCROperation
-        )
-    else:
-        durations_sig = distribution_signature(spec.durations)
-    return (
-        spec.name,
-        round(spec.length, 9),
-        round(spec.max_wait, 9),
-        round(spec.p_star, 12),
-        (round(spec.mix.p_ff, 12), round(spec.mix.p_rw, 12), round(spec.mix.p_pause, 12)),
-        (
-            round(spec.rates.playback, 12),
-            round(spec.rates.fast_forward, 12),
-            round(spec.rates.rewind, 12),
-        ),
-        durations_sig,
-    )
 
 
 @dataclass(frozen=True)
@@ -168,17 +136,14 @@ class FeasibleSet:
         self,
         spec: MovieSizingSpec,
         include_end_hit: bool = True,
-        model: HitProbabilityModel | None = None,
         points: Iterable[FeasiblePoint] | None = None,
     ) -> None:
         self._spec = spec
         self._include_end_hit = include_end_hit
-        # An injected model lets a shared cache supply an already-built one
-        # (the truncation + CDF-transform setup is the expensive part); when
-        # neither a model nor an uncached point is ever needed — e.g. a set
-        # warm-started from a parallel sweep's ``points`` — construction is
-        # skipped entirely (the model is built lazily on first use).
-        self._model = model
+        # Built lazily on first use: a set warm-started from a parallel
+        # sweep's ``points`` may never need an uncached point, and then the
+        # truncation + CDF-transform setup is skipped entirely.
+        self._model: HitProbabilityModel | None = None
         self._cache: dict[int, FeasiblePoint] = {}
         self._max_streams: int | None = None
         for point in points or ():

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.parameters import SystemConfiguration
 from repro.exceptions import ConfigurationError
 from repro.sizing.cost import CostModel
-from repro.sizing.feasible import FeasibleSet, MovieSizingSpec, spec_signature
+from repro.sizing.feasible import FeasibleSet, MovieSizingSpec
 from repro.sizing.optimizer import AllocationResult, optimize_allocation
 
 if TYPE_CHECKING:  # pragma: no cover - lazy: sweeps imports this package
@@ -85,7 +85,6 @@ class SystemSizer:
         include_end_hit: bool = True,
         feasible_factory=None,
         workers: int | None = 1,
-        _reuse: Mapping[str, FeasibleSet] | None = None,
     ) -> None:
         if not specs:
             raise ConfigurationError("sizing needs at least one movie spec")
@@ -100,11 +99,7 @@ class SystemSizer:
         self._feasible_factory = feasible_factory or (
             lambda spec, end_hit: FeasibleSet(spec, include_end_hit=end_hit)
         )
-        reuse = _reuse or {}
-        self._feasible = [
-            reuse.get(spec.name) or self._feasible_factory(spec, include_end_hit)
-            for spec in specs
-        ]
+        self._feasible = [self._feasible_factory(spec, include_end_hit) for spec in specs]
         # Imported lazily: repro.parallel.sweeps imports this package, so a
         # top-level import here would close an import cycle.
         from repro.parallel.executor import resolve_workers
@@ -113,28 +108,6 @@ class SystemSizer:
         self._prewarmed = False
         #: Telemetry of the most recent parallel prewarm (None when serial).
         self.last_parallel_outcome: "ParallelOutcome | None" = None
-
-    def refreshed(self, specs: Sequence[MovieSizingSpec]) -> "SystemSizer":
-        """A warm-restarted sizer for updated specs.
-
-        Movies whose spec signature is unchanged keep their existing
-        :class:`FeasibleSet` — with every frontier point already evaluated —
-        so an online re-plan only pays for the movies that actually drifted.
-        """
-        unchanged: dict[str, FeasibleSet] = {}
-        by_name = {spec.name: fs for spec, fs in zip(self._specs, self._feasible)}
-        for spec in specs:
-            existing = by_name.get(spec.name)
-            if existing is not None and spec_signature(existing.spec) == spec_signature(spec):
-                unchanged[spec.name] = existing
-        return SystemSizer(
-            specs,
-            cost_model=self._cost_model,
-            include_end_hit=self._include_end_hit,
-            feasible_factory=self._feasible_factory,
-            workers=self._workers,
-            _reuse=unchanged,
-        )
 
     @property
     def feasible_sets(self) -> tuple[FeasibleSet, ...]:
@@ -155,8 +128,7 @@ class SystemSizer:
         and verified maxima are absorbed back into the local feasible sets,
         so the subsequent optimisation replays them from cache.  A no-op
         returning ``None`` when the sizer was built with ``workers <= 1``.
-        Runs at most once; re-plans via :meth:`refreshed` prewarm again for
-        the drifted movies only (unchanged movies ship their points along).
+        Runs at most once per sizer.
         """
         from repro.parallel.sweeps import FrontierTask, sweep_frontiers
 

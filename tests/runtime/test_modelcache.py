@@ -1,10 +1,12 @@
-"""Bounded memoisation: correctness parity, eviction, and counters."""
+"""Per-operation memoisation: bit-identical values, reuse across specs,
+quantised keys, eviction and counters."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.core.hitmodel as hitmodel
+import repro.runtime.modelcache as modelcache
 from repro.core.hitmodel import VCRMix
 from repro.core.vcrop import VCROperation
 from repro.distributions import (
@@ -16,13 +18,17 @@ from repro.distributions import (
 )
 from repro.distributions.truncated import clear_truncation_cache
 from repro.exceptions import ConfigurationError
-from repro.runtime.modelcache import LRUCache, ModelEvaluationCache
-from repro.sizing.feasible import (
-    FeasibleSet,
-    MovieSizingSpec,
-    distribution_signature,
-    spec_signature,
+from repro.runtime.modelcache import (
+    _BUFFER_QUANTUM_MINUTES,
+    LRUCache,
+    ModelEvaluationCache,
 )
+from repro.sizing.feasible import FeasibleSet, MovieSizingSpec, distribution_signature
+
+
+#: Every model evaluates all three operations, so one mixed ``P(hit)`` is
+#: three lookups in the per-operation map.
+_OPS = len(VCROperation)
 
 
 def _spec(name="m0", length=120.0, max_wait=2.0, mean=None, p_star=0.5):
@@ -32,6 +38,11 @@ def _spec(name="m0", length=120.0, max_wait=2.0, mean=None, p_star=0.5):
     return MovieSizingSpec(
         name=name, length=length, max_wait=max_wait, durations=durations, p_star=p_star
     )
+
+
+def _configs(spec, points):
+    model = spec.build_model()
+    return [model.configuration(n, b) for n, b in points]
 
 
 class TestLRUCache:
@@ -57,6 +68,14 @@ class TestLRUCache:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LRUCache(maxsize=0)
+
+    def test_get_many_evicts_past_maxsize(self):
+        cache = LRUCache(maxsize=8)
+        cache.get_many(list(range(20)), lambda firsts: [k * 10 for k in firsts])
+        stats = cache.stats
+        assert stats.entries == 8
+        assert stats.evictions == 12
+        assert all(k in cache for k in range(12, 20))
 
     def test_cached_none_is_a_hit(self):
         # ``None`` is a legitimate cached value: retrieving it must count as
@@ -84,29 +103,7 @@ class TestLRUCache:
         assert cache.stats.misses == 0
 
 
-class TestSpecSignature:
-    def test_equal_specs_equal_signatures(self):
-        assert spec_signature(_spec()) == spec_signature(_spec())
-
-    def test_any_statistical_change_changes_signature(self):
-        base = spec_signature(_spec())
-        assert spec_signature(_spec(mean=5.0)) != base
-        assert spec_signature(_spec(max_wait=2.5)) != base
-        assert spec_signature(_spec(p_star=0.6)) != base
-        assert spec_signature(_spec(name="other")) != base
-
-    def test_signature_is_hashable(self):
-        assert hash(spec_signature(_spec())) == hash(spec_signature(_spec()))
-
-
 class TestModelEvaluationCache:
-    def test_model_reuse_across_equal_specs(self):
-        cache = ModelEvaluationCache()
-        model_a = cache.model_for(_spec())
-        model_b = cache.model_for(_spec())
-        assert model_a is model_b
-        assert cache.model_stats.hits == 1 and cache.model_stats.misses == 1
-
     def test_hit_probability_parity_with_plain_feasible_set(self):
         spec = _spec()
         cache = ModelEvaluationCache()
@@ -129,83 +126,88 @@ class TestModelEvaluationCache:
 
     def test_quantised_keys_coalesce_float_noise(self):
         spec = _spec()
-        cache = ModelEvaluationCache(buffer_quantum_minutes=1e-4)
-        a = cache.hit_probability(spec, 10, 100.0)
-        b = cache.hit_probability(spec, 10, 100.0 + 1e-6)  # below the grid
+        cache = ModelEvaluationCache()
+        model = cache.model_for(spec)
+        a = model.hit_probability(model.configuration(10, 100.0))
+        b = model.hit_probability(model.configuration(10, 100.0 + 1e-6))  # below the grid
         assert a == b
-        assert cache.evaluation_stats.hits == 1
+        assert cache.evaluation_stats.hits == _OPS
 
     def test_buffers_within_grid_resolution_share_a_key(self):
         # Audit of the quantisation grid: two buffer values that differ by
         # less than half a quantum land on the same key, while a full-quantum
         # step lands on a new one.
         spec = _spec()
-        quantum = 1e-4
-        cache = ModelEvaluationCache(buffer_quantum_minutes=quantum)
-        cache.hit_probability(spec, 10, 100.0)
-        cache.hit_probability(spec, 10, 100.0 + 0.4 * quantum)   # same cell
-        cache.hit_probability(spec, 10, 100.0 + quantum)         # next cell
+        quantum = _BUFFER_QUANTUM_MINUTES
+        cache = ModelEvaluationCache()
+        model = cache.model_for(spec)
+        for buffer in (100.0, 100.0 + 0.4 * quantum, 100.0 + quantum):
+            model.hit_probability_batch([model.configuration(10, buffer)])
         stats = cache.evaluation_stats
-        assert stats.hits == 1 and stats.misses == 2
+        assert stats.hits == _OPS and stats.misses == 2 * _OPS
 
     def test_warm_grid_batched_sweep_is_all_hits(self):
-        # A batched sweep over an already-evaluated (n, B) grid must be 100%
-        # cache hits — no model evaluation, one counted hit per point.
+        # A batched sweep over an already-evaluated grid, by a new frontier,
+        # must be 100% cache hits — no kernel evaluation, one counted hit per
+        # point and operation.
         spec = _spec()
         cache = ModelEvaluationCache()
-        points = [(n, 120.0 - 2.0 * n) for n in range(1, 31)]
-        cold = cache.hit_probability_many(spec, points)
+        counts = range(1, 31)
+        cold = cache.feasible_set(spec).points_batch(counts)
         baseline = cache.evaluation_stats
-        assert baseline.misses == len(points)
-        warm = cache.hit_probability_many(spec, points)
+        assert baseline.misses == len(counts) * _OPS
+        warm = cache.feasible_set(spec).points_batch(counts)
         stats = cache.evaluation_stats
         assert warm == cold
         assert stats.misses == baseline.misses
-        assert stats.hits == baseline.hits + len(points)
+        assert stats.hits == baseline.hits + len(counts) * _OPS
 
     def test_bulk_call_deduplicates_equal_keys(self):
-        # Duplicate (n, B) points inside one bulk call are evaluated once
-        # (one put) but still pay one counted lookup each.
+        # Duplicate configurations inside one batch are evaluated once per
+        # operation (one put) but still pay one counted lookup each.
         spec = _spec()
         cache = ModelEvaluationCache()
-        values = cache.hit_probability_many(spec, [(10, 100.0), (10, 100.0)])
+        model = cache.model_for(spec)
+        config = model.configuration(10, 100.0)
+        values = model.hit_probability_batch([config, config])
         assert values[0] == values[1]
         stats = cache.evaluation_stats
-        assert stats.misses == 2 and stats.entries == 1
-        again = cache.hit_probability_many(spec, [(10, 100.0)])
-        assert again == [values[0]]
-        assert cache.evaluation_stats.hits == 1
+        assert stats.misses == 2 * _OPS and stats.entries == _OPS
+        assert model.hit_probability_batch([config]) == [values[0]]
+        assert cache.evaluation_stats.hits == _OPS
 
     def test_bulk_matches_scalar_lookup_path(self):
         spec = _spec()
-        bulk_cache = ModelEvaluationCache()
-        scalar_cache = ModelEvaluationCache()
-        points = [(n, 120.0 - 2.0 * n) for n in (1, 5, 10, 25, 40)]
-        bulk = bulk_cache.hit_probability_many(spec, points)
-        scalar = [scalar_cache.hit_probability(spec, n, b) for n, b in points]
-        assert bulk == scalar
+        configs = _configs(spec, [(n, 120.0 - 2.0 * n) for n in (1, 5, 10, 25, 40)])
+        bulk = ModelEvaluationCache().model_for(spec).hit_probability_batch(configs)
+        scalar_model = ModelEvaluationCache().model_for(spec)
+        assert bulk == [scalar_model.hit_probability(c) for c in configs]
 
-    def test_eviction_bounds_memory(self):
+    def test_eviction_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(modelcache, "_MAX_EVALUATIONS", 8)
         spec = _spec()
-        cache = ModelEvaluationCache(max_evaluations=8)
+        cache = ModelEvaluationCache()
+        model = cache.model_for(spec)
         for n in range(1, 21):
-            cache.hit_probability(spec, n, 120.0 - 2.0 * n)
+            model.hit_probability(model.configuration(n, 120.0 - 2.0 * n))
         stats = cache.evaluation_stats
-        assert stats.entries <= 8
-        assert stats.evictions >= 12
+        assert stats.entries == 8
+        assert stats.evictions == 20 * _OPS - 8
 
     def test_stats_mapping(self):
         cache = ModelEvaluationCache()
         stats = cache.stats()
-        assert set(stats) == {"models", "evaluations", "operations", "transforms"}
+        assert set(stats) == {"operations", "transforms"}
+        assert stats["operations"] == cache.evaluation_stats
 
     def test_clear_keeps_counters(self):
         spec = _spec()
         cache = ModelEvaluationCache()
-        cache.hit_probability(spec, 5, 110.0)
+        model = cache.model_for(spec)
+        model.hit_probability(model.configuration(5, 110.0))
         cache.clear()
         assert cache.evaluation_stats.entries == 0
-        assert cache.evaluation_stats.misses == 1
+        assert cache.evaluation_stats.misses == _OPS
 
 
 _MIXTURE = {
@@ -226,11 +228,14 @@ class TestDistributionSignature:
             name="m0", length=120.0, max_wait=2.0, durations=distribution_from_spec(dist_spec)
         )
         cache = ModelEvaluationCache()
-        assert cache.model_for(spec) is cache.model_for(spec)
         config = spec.build_model().configuration(10, 100.0)
-        assert cache.hit_probability(spec, 10, 100.0) == spec.build_model().hit_probability(
-            config
-        )
+        expected = spec.build_model().hit_probability(config)
+        assert cache.model_for(spec).hit_probability_batch([config]) == [expected]
+        # An equal composite spec finds its transform and values cached.
+        assert cache.model_for(spec).hit_probability_batch([config]) == [expected]
+        stats = cache.stats()
+        assert stats["transforms"].misses == 1 and stats["transforms"].hits == 1
+        assert stats["operations"].misses == _OPS and stats["operations"].hits == _OPS
 
     def test_equal_composites_equal_signatures(self):
         assert distribution_signature(distribution_from_spec(_MIXTURE)) == (
@@ -289,25 +294,24 @@ class TestPerOperationReuse:
     def test_cached_values_equal_an_uncached_model(self, name):
         spec = _EXACTNESS_SPECS[name]
         plain = spec.build_model()
-        configs = [plain.configuration(n, b) for n, b in _POINTS]
-        cache = ModelEvaluationCache()
-        assert cache.hit_probability_many(spec, _POINTS) == plain.hit_probability_batch(configs)
-        cached = cache.model_for(spec)
+        configs = _configs(spec, _POINTS)
+        cached = ModelEvaluationCache().model_for(spec)
+        assert cached.hit_probability_batch(configs) == plain.hit_probability_batch(configs)
         assert [cached.breakdown(c) for c in configs] == [plain.breakdown(c) for c in configs]
 
     def test_mix_only_change_is_exact_and_evaluates_nothing(self, monkeypatch):
         first = _EXACTNESS_SPECS["per-operation"]
         second = _gamma_spec(durations=first.durations, mix=VCRMix(0.5, 0.1, 0.4))
         plain = second.build_model()
-        configs = [plain.configuration(n, b) for n, b in _POINTS]
+        configs = _configs(second, _POINTS)
         expected = plain.hit_probability_batch(configs)
         expected_breakdowns = [plain.breakdown(c) for c in configs]
         cache = ModelEvaluationCache()
-        cache.hit_probability_many(first, _POINTS)
+        cache.model_for(first).hit_probability_batch(configs)
         before = cache.stats()
         calls = _record_kernel_calls(monkeypatch)
-        assert cache.hit_probability_many(second, _POINTS) == expected
         model = cache.model_for(second)
+        assert model.hit_probability_batch(configs) == expected
         assert [model.breakdown(c) for c in configs] == expected_breakdowns
         assert calls == []
         after = cache.stats()
@@ -319,10 +323,10 @@ class TestPerOperationReuse:
         refit = dict(first.durations)
         refit[VCROperation.REWIND] = GammaDuration(shape=3.0, scale=1.5)
         second = _gamma_spec(durations=refit)
-        plain = second.build_model()
-        expected = plain.hit_probability_batch([plain.configuration(n, b) for n, b in _POINTS])
+        configs = _configs(second, _POINTS)
+        expected = second.build_model().hit_probability_batch(configs)
         cache = ModelEvaluationCache()
-        cache.hit_probability_many(first, _POINTS)
+        cache.model_for(first).hit_probability_batch(configs)
         calls = _record_kernel_calls(monkeypatch)
-        assert cache.hit_probability_many(second, _POINTS) == expected
+        assert cache.model_for(second).hit_probability_batch(configs) == expected
         assert calls == [(VCROperation.REWIND, len(_POINTS))]

@@ -90,10 +90,3 @@ class TestParallelPrewarm:
         sizer = SystemSizer(self._specs(), workers=1)
         sizer.solve()
         assert sizer.last_parallel_outcome is None
-
-    def test_refreshed_keeps_worker_count(self):
-        sizer = SystemSizer(self._specs(), workers=2)
-        sizer.solve()
-        refreshed = sizer.refreshed(self._specs())
-        report = refreshed.solve()
-        assert report.summary_lines() == sizer.solve().summary_lines()

@@ -199,7 +199,7 @@ class TestRuntimeCommand:
         assert "bootstrap" in out           # the first delta deploys a plan
         assert "control summary" in out
         assert "deltas_emitted=" in out
-        assert "cache[models]" in out and "hit_rate=" in out
+        assert "cache[operations]" in out and "hit_rate=" in out
 
     def test_runtime_rejects_empty_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "empty.jsonl"

@@ -48,7 +48,7 @@ from repro.core.parameters import SystemConfiguration
 from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
 from repro.exceptions import ConfigurationError
-from repro.numerics.intervals import Interval, IntervalUnion, measure_under_many
+from repro.numerics.intervals import Interval, IntervalUnion
 from repro.numerics.quadrature import _gl_nodes, gauss_legendre_nodes
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "pause_hit_intervals",
     "hit_intervals",
     "hit_probability_at",
-    "hit_probability_at_many",
     "hit_probability",
     "hit_probability_batch",
     "end_probability",
@@ -638,28 +637,4 @@ def hit_probability_batch(
         if include_end_hit and is_ff:
             value += end_term / length
         out.append(float(min(1.0, max(0.0, value))))
-    return out
-
-
-def hit_probability_at_many(
-    operation: VCROperation,
-    config: SystemConfiguration,
-    duration: DurationDistribution,
-    states: Sequence[tuple[float, float]],
-    include_end_hit: bool = True,
-) -> list[float]:
-    """Batched :func:`hit_probability_at` over many ``(V_c, d)`` states.
-
-    The hit-set geometry is built per state exactly as the scalar function
-    does; only the CDF evaluation is fused into one batch through
-    :func:`~repro.numerics.intervals.measure_under_many`.
-    """
-    unions = [hit_intervals(operation, config, v_c, offset_d) for v_c, offset_d in states]
-    masses = measure_under_many(unions, duration.cdf_batch)
-    out: list[float] = []
-    for (v_c, _), mass in zip(states, masses):
-        if include_end_hit and operation is VCROperation.FAST_FORWARD:
-            end = fastforward_end_interval(config, v_c)
-            mass += duration.probability(end.lo, end.hi)
-        out.append(min(1.0, max(0.0, mass)))
     return out

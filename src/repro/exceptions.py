@@ -60,14 +60,6 @@ class InsufficientDataError(FittingError):
     """Too few samples to fit anything (0–1 samples, or below the floor)."""
 
 
-class DegenerateDataError(FittingError):
-    """The sample admits no meaningful parametric fit (e.g. all-identical).
-
-    Raised only when no deterministic fallback exists; zero-variance samples
-    fall back to a point mass instead of raising.
-    """
-
-
 class ClockRegressionError(SimulationError):
     """A time-stamped statistic was fed a timestamp earlier than its last one.
 

@@ -159,7 +159,7 @@ def _run_arm(
     )
     total_buffer = sum(config.buffer_minutes for config in plan.values())
 
-    hub = TelemetryHub(half_life_minutes=240.0)
+    hub = TelemetryHub()
     gate = None
     if adaptive:
         gate = RuntimeAdmissionGate()

@@ -14,9 +14,9 @@ enters the probability computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-__all__ = ["Interval", "IntervalUnion", "measure_under_many"]
+__all__ = ["Interval", "IntervalUnion"]
 
 
 @dataclass(frozen=True, order=True)
@@ -158,33 +158,3 @@ class IntervalUnion:
     def __repr__(self) -> str:
         parts = ", ".join(f"[{iv.lo:g}, {iv.hi:g}]" for iv in self._intervals)
         return f"IntervalUnion({parts})"
-
-
-def measure_under_many(
-    unions: Sequence["IntervalUnion"],
-    cdf_batch: Callable[[list[float]], Sequence[float]],
-) -> list[float]:
-    """Probability mass of many unions under one distribution, batched.
-
-    Gathers every endpoint of every union into a single ``cdf_batch`` call
-    (the batched-CDF hook of :class:`~repro.distributions.base.
-    DurationDistribution`) and reduces each union in the same
-    ``cdf(hi) − cdf(lo)`` order as :meth:`IntervalUnion.measure_under`, so
-    ``measure_under_many(unions, d.cdf_batch)[k] ==
-    unions[k].measure_under(d.cdf)`` bit for bit.
-    """
-    args: list[float] = []
-    for union in unions:
-        for iv in union:
-            args.append(iv.hi)
-            args.append(iv.lo)
-    values = cdf_batch(args)
-    out: list[float] = []
-    cursor = 0
-    for union in unions:
-        total = 0.0
-        for _ in range(len(union)):
-            total += float(values[cursor]) - float(values[cursor + 1])
-            cursor += 2
-        out.append(total)
-    return out

@@ -4,18 +4,20 @@ The paper's argument is about sustained operating behaviour — bounded
 response-time waits and high resume hit ratios under heavy traffic — so the
 live service watches itself against two service-level objectives:
 
-* ``p99_latency`` — at least ``latency_target`` of requests answer within
-  ``latency_threshold_seconds``;
-* ``deny_rate`` — at least ``deny_target`` of ``session_start`` requests
-  are admitted (batch or immediate) rather than rejected/denied.
+* ``p99_latency`` — at least :data:`LATENCY_TARGET` (99%) of requests
+  answer within ``latency_threshold_seconds``;
+* ``deny_rate`` — at least :data:`DENY_TARGET` (95%) of ``session_start``
+  requests are admitted (batch or immediate) rather than rejected/denied.
 
 Each objective has an **error budget** of ``1 - target``.  The monitor
 keeps a sliding sample window per objective on the *service clock* and
 computes the **burn rate** — observed error fraction divided by the budget —
-over a fast and a slow window.  An alert fires only when *both* windows
-burn above a threshold (the standard multi-window guard: the slow window
-proves the problem is real, the fast window proves it is still happening),
-with ``page`` above ``page_burn`` and ``warn`` above ``warn_burn``.
+over a fast (:data:`FAST_WINDOW_MINUTES`, 5 min) and a slow
+(:data:`SLOW_WINDOW_MINUTES`, 60 min) window.  An alert fires only when
+*both* windows burn above a threshold (the standard multi-window guard: the
+slow window proves the problem is real, the fast window proves it is still
+happening), with ``page`` at :data:`PAGE_BURN` (2×) and ``warn`` at
+:data:`WARN_BURN` (1×).
 
 Alerts are edges, not levels: the monitor emits one ``slo_alert`` trace
 event when an objective enters a severity and one (``breaching=false``)
@@ -38,10 +40,32 @@ from typing import Deque, Tuple
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SLOConfig", "SLOAlert", "SLOMonitor", "OBJECTIVES"]
+__all__ = [
+    "LATENCY_TARGET",
+    "DENY_TARGET",
+    "FAST_WINDOW_MINUTES",
+    "SLOW_WINDOW_MINUTES",
+    "PAGE_BURN",
+    "WARN_BURN",
+    "SLOConfig",
+    "SLOAlert",
+    "SLOMonitor",
+    "OBJECTIVES",
+]
 
 #: The objectives the monitor evaluates, in evaluation order.
 OBJECTIVES: tuple[str, ...] = ("p99_latency", "deny_rate")
+
+#: Fraction of requests that must answer within the latency threshold.
+LATENCY_TARGET = 0.99
+#: Fraction of ``session_start`` requests that must be admitted.
+DENY_TARGET = 0.95
+#: The burn-rate windows, in service-clock minutes.
+FAST_WINDOW_MINUTES = 5.0
+SLOW_WINDOW_MINUTES = 60.0
+#: Burn rates (error fraction over budget) at which an objective pages / warns.
+PAGE_BURN = 2.0
+WARN_BURN = 1.0
 
 #: ``session_start`` verdicts that spend the deny-rate error budget.
 _DENY_DECISIONS = frozenset({"reject", "deny"})
@@ -49,15 +73,9 @@ _DENY_DECISIONS = frozenset({"reject", "deny"})
 
 @dataclass(frozen=True)
 class SLOConfig:
-    """Objectives, windows and burn thresholds for one monitor."""
+    """The latency threshold and alerting sample floor of one monitor."""
 
     latency_threshold_seconds: float = 0.5
-    latency_target: float = 0.99
-    deny_target: float = 0.95
-    fast_window_minutes: float = 5.0
-    slow_window_minutes: float = 60.0
-    page_burn: float = 2.0
-    warn_burn: float = 1.0
     min_samples: int = 10
 
     def __post_init__(self) -> None:
@@ -65,22 +83,6 @@ class SLOConfig:
             raise ConfigurationError(
                 f"latency_threshold_seconds must be > 0, "
                 f"got {self.latency_threshold_seconds}"
-            )
-        for name in ("latency_target", "deny_target"):
-            target = getattr(self, name)
-            if not 0.0 < target < 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in (0, 1), got {target}"
-                )
-        if not 0.0 < self.fast_window_minutes <= self.slow_window_minutes:
-            raise ConfigurationError(
-                f"windows must satisfy 0 < fast <= slow, got "
-                f"{self.fast_window_minutes}/{self.slow_window_minutes}"
-            )
-        if not 0.0 < self.warn_burn <= self.page_burn:
-            raise ConfigurationError(
-                f"burn thresholds must satisfy 0 < warn <= page, got "
-                f"{self.warn_burn}/{self.page_burn}"
             )
         if self.min_samples < 1:
             raise ConfigurationError(
@@ -90,9 +92,9 @@ class SLOConfig:
     def budget(self, objective: str) -> float:
         """The objective's error budget (allowed error fraction)."""
         if objective == "p99_latency":
-            return 1.0 - self.latency_target
+            return 1.0 - LATENCY_TARGET
         if objective == "deny_rate":
-            return 1.0 - self.deny_target
+            return 1.0 - DENY_TARGET
         raise ConfigurationError(f"unknown SLO objective {objective!r}")
 
 
@@ -141,12 +143,12 @@ class _ObjectiveState:
             self.slow_bad += 1
             self.fast_bad += 1
 
-    def evict(self, now: float, fast_window: float, slow_window: float) -> None:
-        slow_cutoff = now - slow_window
+    def evict(self, now: float) -> None:
+        slow_cutoff = now - SLOW_WINDOW_MINUTES
         while self.slow and self.slow[0][0] < slow_cutoff:
             if self.slow.popleft()[1]:
                 self.slow_bad -= 1
-        fast_cutoff = now - fast_window
+        fast_cutoff = now - FAST_WINDOW_MINUTES
         while self.fast and self.fast[0][0] < fast_cutoff:
             if self.fast.popleft()[1]:
                 self.fast_bad -= 1
@@ -233,11 +235,7 @@ class SLOMonitor:
         alerts: list[SLOAlert] = []
         for objective in OBJECTIVES:
             state = self._states[objective]
-            state.evict(
-                now,
-                self.config.fast_window_minutes,
-                self.config.slow_window_minutes,
-            )
+            state.evict(now)
             fast_total = len(state.fast)
             slow_total = len(state.slow)
             budget = self.config.budget(objective)
@@ -251,9 +249,9 @@ class SLOMonitor:
             severity: str | None = None
             if fast_total >= self.config.min_samples:
                 floor = min(state.burn_fast, state.burn_slow)
-                if floor >= self.config.page_burn:
+                if floor >= PAGE_BURN:
                     severity = "page"
-                elif floor >= self.config.warn_burn:
+                elif floor >= WARN_BURN:
                     severity = "warn"
 
             if self._burn_gauge is not None:

@@ -12,7 +12,7 @@ Every event is one JSON object per line with a fixed envelope::
 * ``ev`` — the event type, one of :data:`EVENT_SCHEMA`'s keys.
 
 The payload fields per event type are declared in :data:`EVENT_SCHEMA` and
-enforced both at emission (:class:`TraceWriter` validates by default) and at
+enforced both at emission (:class:`TraceWriter` validates every event) and at
 ingestion (:func:`validate_trace_file`), so a trace that loads is a trace
 every tool can replay.
 
@@ -31,6 +31,7 @@ from repro.exceptions import TraceSchemaError
 
 __all__ = [
     "SCHEMA_VERSION",
+    "BUFFER_EVENTS",
     "SUPPORTED_VERSIONS",
     "EVENT_SCHEMA",
     "EVENT_SCHEMAS",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 4
+
+#: Events a :class:`TraceWriter` buffers before it writes them through.
+BUFFER_EVENTS = 256
 
 _NUM = (int, float)
 _OPT_NUM = (int, float, type(None))
@@ -293,23 +297,15 @@ def validate_event(
 class TraceWriter:
     """Buffered JSONL event writer with emission-time schema validation.
 
-    ``sink`` may be a path or an open text file.  Events are buffered
-    (``buffer_events`` lines) and flushed on overflow, :meth:`flush` and
+    ``sink`` may be a path or an open text file.  Every event is validated
+    against :data:`EVENT_SCHEMA` as it is emitted.  Events are buffered
+    (:data:`BUFFER_EVENTS` lines) and flushed on overflow, :meth:`flush` and
     :meth:`close`; the writer is a context manager.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        sink: str | Path | IO[str],
-        buffer_events: int = 256,
-        validate: bool = True,
-    ) -> None:
-        if buffer_events < 1:
-            raise TraceSchemaError(
-                f"buffer_events must be >= 1, got {buffer_events}"
-            )
+    def __init__(self, sink: str | Path | IO[str]) -> None:
         if isinstance(sink, (str, Path)):
             self._file: IO[str] = open(sink, "w", encoding="utf-8")
             self._owns_file = True
@@ -317,8 +313,6 @@ class TraceWriter:
             self._file = sink
             self._owns_file = False
         self._buffer: list[str] = []
-        self._buffer_events = buffer_events
-        self._validate = validate
         self._seq = 0
         self.events_emitted = 0
 
@@ -331,12 +325,11 @@ class TraceWriter:
             "ev": event_type,
         }
         obj.update(fields)
-        if self._validate:
-            validate_event(obj)
+        validate_event(obj)
         self._seq += 1
         self.events_emitted += 1
         self._buffer.append(json.dumps(obj, sort_keys=True))
-        if len(self._buffer) >= self._buffer_events:
+        if len(self._buffer) >= BUFFER_EVENTS:
             self.flush()
 
     def flush(self) -> None:

@@ -1,4 +1,4 @@
-"""Deterministic parallel execution for sweeps, grids and replications.
+"""Deterministic parallel execution for sweeps, grids and fault matrices.
 
 * :class:`~repro.parallel.executor.ParallelExecutor` — fork-based process
   pool with a serial fallback, round-robin sharding, index-keyed results
@@ -6,8 +6,6 @@
   timing/cache telemetry.
 * :mod:`~repro.parallel.sweeps` — per-movie feasible-set sweep tasks for the
   Section-5 grids (Figures 8/9, the sizing planner).
-* The Monte-Carlo replication harness lives with the simulators in
-  :mod:`repro.sim.replication` and runs on this executor.
 """
 
 from repro.parallel.executor import (

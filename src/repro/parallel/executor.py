@@ -1,9 +1,9 @@
-"""Deterministic process-pool fan-out for sweeps, grids and replications.
+"""Deterministic process-pool fan-out for sweeps, grids and fault matrices.
 
 The sizing procedure (Section 5), the Figure-8/9 experiment grids and the
-Monte-Carlo validation replications are all embarrassingly parallel: many
-independent, CPU-bound evaluations whose outputs are combined by *task
-index*, never by completion order.  :class:`ParallelExecutor` exploits that
+chaos fault matrix are all embarrassingly parallel: many independent,
+CPU-bound evaluations whose outputs are combined by *task index*, never by
+completion order.  :class:`ParallelExecutor` exploits that
 shape while keeping the repository's reproducibility contract intact:
 
 Determinism contract
@@ -35,7 +35,7 @@ the speedup and that worker-side memoisation is actually working.
 Dead workers do not kill the run: a worker that dies mid-shard (OOM kill,
 segfault, ``os._exit``) surfaces as a broken pool, and the driver re-submits
 only the shards that never delivered, in a fresh pool, up to
-``max_shard_retries`` times.  Because tasks are pure and keyed by index, a
+:data:`MAX_SHARD_RETRIES` (2) times.  Because tasks are pure and keyed by index, a
 re-run shard produces exactly the results the dead worker would have — the
 determinism contract survives the crash.  Exhausting the retries raises
 :class:`~repro.exceptions.WorkerCrashError`; ordinary task exceptions still
@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import layering: see worker_cache()
     from repro.runtime.modelcache import ModelEvaluationCache
 
 __all__ = [
+    "MAX_SHARD_RETRIES",
     "ShardReport",
     "ParallelOutcome",
     "ParallelExecutor",
@@ -77,6 +78,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 _log = get_logger("parallel.executor")
+
+#: Fresh-pool re-submits of a shard whose worker died, before giving up.
+MAX_SHARD_RETRIES = 2
 
 #: Process-local evaluation cache shared by every shard this process runs.
 _WORKER_CACHE: "ModelEvaluationCache | None" = None
@@ -92,9 +96,8 @@ def worker_cache() -> "ModelEvaluationCache":
     Figure 9: 0 of 153); it pays off only where a process evaluates the
     same operation, distribution and configuration again.
     """
-    # Imported here (not at module top) so the substrate layers
-    # (repro.sim.replication) can import the executor without pulling in
-    # repro.runtime/repro.sizing.
+    # Imported here (not at module top) so importing the executor does not
+    # pull in repro.runtime/repro.sizing, whose planner imports it back.
     from repro.runtime.modelcache import ModelEvaluationCache
 
     global _WORKER_CACHE
@@ -266,18 +269,8 @@ def _run_shard(
 class ParallelExecutor:
     """Fans a pure task function over items with deterministic output order."""
 
-    def __init__(
-        self,
-        workers: int | None = 1,
-        max_shard_retries: int = 2,
-        tracer=None,
-    ) -> None:
-        if max_shard_retries < 0:
-            raise ConfigurationError(
-                f"max_shard_retries must be >= 0, got {max_shard_retries}"
-            )
+    def __init__(self, workers: int | None = 1, tracer=None) -> None:
         self._workers = resolve_workers(workers)
-        self._max_shard_retries = max_shard_retries
         # Diagnostic only: ``worker_retry`` events depend on *when* a worker
         # died, so they never belong in a deterministic run trace — attach a
         # tracer here only for post-mortems.
@@ -377,12 +370,12 @@ class ParallelExecutor:
             exhausted = [
                 shard_index
                 for shard_index, _ in failed
-                if attempts[shard_index] > self._max_shard_retries
+                if attempts[shard_index] > MAX_SHARD_RETRIES
             ]
             if exhausted:
                 raise WorkerCrashError(
                     f"shard(s) {exhausted} kept crashing their worker; gave up "
-                    f"after {self._max_shard_retries} retries each"
+                    f"after {MAX_SHARD_RETRIES} retries each"
                 )
             for shard_index, _ in failed:
                 attempt = attempts[shard_index]

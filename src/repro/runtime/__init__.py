@@ -40,7 +40,7 @@ from repro.runtime.controller import (
     MovieSlot,
 )
 from repro.runtime.modelcache import CacheStats, LRUCache, ModelEvaluationCache
-from repro.runtime.refit import DriftReport, IncrementalRefitter, RefitPolicy
+from repro.runtime.refit import DriftReport, IncrementalRefitter
 from repro.runtime.telemetry import MovieTelemetry, TelemetryHub, TelemetrySnapshot
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "ModelEvaluationCache",
     "DriftReport",
     "IncrementalRefitter",
-    "RefitPolicy",
     "MovieTelemetry",
     "TelemetryHub",
     "TelemetrySnapshot",

@@ -3,27 +3,46 @@
 The control plane is an *optimisation*, not a prerequisite — the server keeps
 serving with whatever ``(B_i, n_i)`` map is deployed even when every re-plan
 attempt dies.  The breaker encodes that asymmetry: after
-``failure_threshold`` consecutive tick failures (solver blow-ups, refit
-errors, actuation retries exhausted) it **opens**, and the guarded loop stops
-calling into the controller for a bounded, exponentially-growing stretch of
-*simulation* time.  While open, :meth:`GuardedControlLoop.run_tick` returns
-``None`` and the server coasts on the last allocation that fully actuated.
+:data:`FAILURE_THRESHOLD` (3) consecutive tick failures (solver blow-ups,
+refit errors, actuation retries exhausted) it **opens**, and the guarded loop
+stops calling into the controller for a bounded, exponentially-growing
+stretch of *simulation* time.  While open, :meth:`GuardedControlLoop.run_tick`
+returns ``None`` and the server coasts on the last allocation that fully
+actuated.
 
 After the backoff expires, one probe tick runs **half-open**: success closes
-the breaker and resets the backoff, another failure re-opens it with doubled
-backoff (capped).  All timing is in sim minutes from the caller's clock —
+the breaker and resets the backoff, another failure re-opens it with the
+backoff multiplied by :data:`BACKOFF_FACTOR` (2).  The first open waits
+:data:`BASE_BACKOFF_MINUTES` (30) and no open waits longer than
+:data:`MAX_BACKOFF_MINUTES` (480): 30 → 60 → 120 → 240 → 480 → 480 ….  All timing is in sim minutes from the caller's clock —
 nothing here reads a wall clock, so a degraded run replays byte-identically.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ConfigurationError, DegradedModeError, ReproError
+from repro.exceptions import DegradedModeError, ReproError
 from repro.obs.log import get_logger
 from repro.runtime.controller import AllocationDelta
 
-__all__ = ["CircuitBreaker", "GuardedControlLoop"]
+__all__ = [
+    "FAILURE_THRESHOLD",
+    "BASE_BACKOFF_MINUTES",
+    "BACKOFF_FACTOR",
+    "MAX_BACKOFF_MINUTES",
+    "CircuitBreaker",
+    "GuardedControlLoop",
+]
 
 _log = get_logger("runtime.circuit")
+
+#: Consecutive tick failures that open a closed breaker.
+FAILURE_THRESHOLD = 3
+#: Sim minutes the first open waits before a half-open probe.
+BASE_BACKOFF_MINUTES = 30.0
+#: Growth of the backoff with each consecutive open.
+BACKOFF_FACTOR = 2.0
+#: Cap on any one backoff, in sim minutes.
+MAX_BACKOFF_MINUTES = 480.0
 
 _CLOSED = "closed"
 _OPEN = "open"
@@ -33,34 +52,7 @@ _HALF_OPEN = "half_open"
 class CircuitBreaker:
     """Consecutive-failure breaker with sim-clock exponential backoff."""
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        base_backoff_minutes: float = 30.0,
-        backoff_factor: float = 2.0,
-        max_backoff_minutes: float = 480.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if base_backoff_minutes <= 0.0:
-            raise ConfigurationError(
-                f"base_backoff_minutes must be positive, got {base_backoff_minutes}"
-            )
-        if backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
-        if max_backoff_minutes < base_backoff_minutes:
-            raise ConfigurationError(
-                "max_backoff_minutes must be >= base_backoff_minutes, got "
-                f"{max_backoff_minutes} < {base_backoff_minutes}"
-            )
-        self._threshold = failure_threshold
-        self._base = base_backoff_minutes
-        self._factor = backoff_factor
-        self._cap = max_backoff_minutes
+    def __init__(self) -> None:
         self._state = _CLOSED
         self._failures = 0
         self._opens = 0
@@ -87,7 +79,7 @@ class CircuitBreaker:
     def current_backoff(self) -> float:
         """The backoff window (minutes) the next open would impose."""
         exponent = max(0, self._opens - 1)
-        return min(self._cap, self._base * self._factor**exponent)
+        return min(MAX_BACKOFF_MINUTES, BASE_BACKOFF_MINUTES * BACKOFF_FACTOR**exponent)
 
     # ------------------------------------------------------------------
     # The protocol.
@@ -116,7 +108,7 @@ class CircuitBreaker:
     def record_failure(self, now: float) -> None:
         """A tick failed; open the breaker once the threshold is crossed."""
         self._failures += 1
-        tripped = self._failures >= self._threshold
+        tripped = self._failures >= FAILURE_THRESHOLD
         if self._state == _HALF_OPEN or tripped:
             self._opens += 1
             backoff = self.current_backoff()
@@ -142,10 +134,10 @@ class GuardedControlLoop:
     asserting convergence) call :meth:`require_healthy`.
     """
 
-    def __init__(self, controller, actuator, breaker=None, tracer=None) -> None:
+    def __init__(self, controller, actuator, tracer=None) -> None:
         self._controller = controller
         self._actuator = actuator
-        self._breaker = breaker or CircuitBreaker()
+        self._breaker = CircuitBreaker()
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         self._last_good: AllocationDelta | None = None
         self._last_error: ReproError | None = None

@@ -39,7 +39,7 @@ from repro.exceptions import (
 )
 from repro.obs.log import get_logger
 from repro.runtime.modelcache import ModelEvaluationCache
-from repro.runtime.refit import IncrementalRefitter, RefitPolicy
+from repro.runtime.refit import IncrementalRefitter
 from repro.runtime.telemetry import TelemetryHub, TelemetrySnapshot
 from repro.sizing.feasible import MovieSizingSpec
 from repro.sizing.optimizer import AllocationResult
@@ -48,6 +48,7 @@ from repro.sizing.reservation import VCRLoadModel, min_servers_for_blocking
 from repro.vod.vcr import VCRBehavior
 
 __all__ = [
+    "MAX_REQUEUE_ATTEMPTS",
     "MovieSlot",
     "ControllerPolicy",
     "MovieChange",
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 _log = get_logger("runtime.controller")
+
+#: Partial actuations re-queued before :class:`ActuationRetryExhausted`.
+MAX_REQUEUE_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -88,18 +92,11 @@ class ControllerPolicy:
     """Hysteresis and budget knobs of the control loop."""
 
     stream_budget: int | None = None
-    buffer_budget_minutes: float | None = None
     cooldown_minutes: float = 60.0
     min_improvement: float = 0.02
     blocking_target: float = 0.01
-    include_end_hit: bool = True
-    max_requeue_attempts: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_requeue_attempts < 1:
-            raise ConfigurationError(
-                f"max_requeue_attempts must be >= 1, got {self.max_requeue_attempts}"
-            )
         if self.cooldown_minutes < 0.0:
             raise ConfigurationError(
                 f"cooldown_minutes must be >= 0, got {self.cooldown_minutes}"
@@ -184,8 +181,6 @@ class CapacityController:
         self,
         slots: Sequence[MovieSlot],
         telemetry: TelemetryHub,
-        refitter: IncrementalRefitter | None = None,
-        cache: ModelEvaluationCache | None = None,
         policy: ControllerPolicy | None = None,
         initial_behaviors: Mapping[int, VCRBehavior] | None = None,
         initial_plan: Mapping[int, SystemConfiguration] | None = None,
@@ -198,8 +193,8 @@ class CapacityController:
             raise ConfigurationError(f"movie ids must be unique, got {ids}")
         self._slots = {slot.movie_id: slot for slot in slots}
         self._telemetry = telemetry
-        self._refitter = refitter or IncrementalRefitter(RefitPolicy())
-        self._cache = cache or ModelEvaluationCache()
+        self._refitter = IncrementalRefitter()
+        self._cache = ModelEvaluationCache()
         self.policy = policy or ControllerPolicy()
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         self._sizer: SystemSizer | None = None
@@ -267,7 +262,7 @@ class CapacityController:
         only the rejected changes (as a new delta with the same target map)
         so the next :meth:`tick` re-emits exactly the unfinished work instead
         of re-planning from scratch.  Attempts are bounded by
-        ``policy.max_requeue_attempts`` — beyond that the loop is wedged on
+        :data:`MAX_REQUEUE_ATTEMPTS` (3) — beyond that the loop is wedged on
         something re-trying cannot fix and :class:`ActuationRetryExhausted`
         tells the caller to fall back (the circuit breaker's job).
         """
@@ -277,7 +272,7 @@ class CapacityController:
             return
         self._requeue_attempts += 1
         rejected = tuple(change for change, _ in report.rejected)
-        if self._requeue_attempts >= self.policy.max_requeue_attempts:
+        if self._requeue_attempts >= MAX_REQUEUE_ATTEMPTS:
             self._pending_requeue = None
             names = ", ".join(change.name for change in rejected)
             raise ActuationRetryExhausted(
@@ -342,13 +337,6 @@ class CapacityController:
         try:
             result = self._solve(specs)
         except InfeasibleError:
-            self.infeasible_plans += 1
-            self._trace_decision(now, "infeasible")
-            return None
-        if (
-            self.policy.buffer_budget_minutes is not None
-            and result.total_buffer_minutes > self.policy.buffer_budget_minutes + 1e-9
-        ):
             self.infeasible_plans += 1
             self._trace_decision(now, "infeasible")
             return None
@@ -435,9 +423,7 @@ class CapacityController:
         factory = lambda spec, end_hit: self._cache.feasible_set(  # noqa: E731
             spec, include_end_hit=end_hit
         )
-        self._sizer = SystemSizer(
-            specs, include_end_hit=self.policy.include_end_hit, feasible_factory=factory
-        )
+        self._sizer = SystemSizer(specs, feasible_factory=factory)
         return self._sizer.solve(self.policy.stream_budget).result
 
     def _score(

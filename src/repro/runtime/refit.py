@@ -6,14 +6,19 @@ traffic it would only re-derive the distributions it already holds.  The
 :class:`IncrementalRefitter` therefore keeps the currently accepted fit per
 ``(movie, operation)`` and, on each tick, measures the Kolmogorov–Smirnov
 distance between the telemetry window and that fit.  Only operations whose
-distance exceeds the drift threshold are refitted; a stationary system settles
-into a state where every tick is a handful of CDF evaluations and zero fits.
+distance exceeds :data:`KS_THRESHOLD` (0.15) are refitted; a stationary
+system settles into a state where every tick is a handful of CDF evaluations
+and zero fits.
 
 The threshold must dominate KS sampling noise — for a window of ``n`` i.i.d.
 samples drawn *from* the fitted distribution the distance concentrates around
-``~1.36/sqrt(n)`` at the 95th percentile (n=100 → 0.136) — so the default of
-0.15 keeps a converged fit quiet on realistic window sizes while still firing
-on a genuine family or scale change.
+``~1.36/sqrt(n)`` at the 95th percentile (n=100 → 0.136) — so 0.15 keeps a
+converged fit quiet on realistic window sizes while still firing on a genuine
+family or scale change.  Below :data:`MIN_WINDOW_SAMPLES` (30) samples no
+drift verdict is attempted, and an operation that has never produced a usable
+window is seeded with an exponential of mean
+:data:`~repro.workloads.fitting.FALLBACK_MEAN` (5.0 minutes), the same
+fallback :func:`~repro.workloads.fitting.fit_behavior` uses.
 """
 
 from __future__ import annotations
@@ -23,39 +28,22 @@ from dataclasses import dataclass, field
 
 from repro.core.vcrop import VCROperation
 from repro.distributions import DurationDistribution, ExponentialDuration
-from repro.exceptions import ConfigurationError, FittingError
+from repro.exceptions import FittingError
 from repro.runtime.telemetry import TelemetrySnapshot
 from repro.vod.vcr import VCRBehavior
-from repro.workloads.fitting import fit_duration_distribution, ks_distance
+from repro.workloads.fitting import (
+    FALLBACK_MEAN,
+    fit_duration_distribution,
+    ks_distance,
+)
 
-__all__ = ["RefitPolicy", "DriftReport", "IncrementalRefitter"]
+__all__ = ["KS_THRESHOLD", "MIN_WINDOW_SAMPLES", "DriftReport", "IncrementalRefitter"]
 
+#: KS distance above which an operation's accepted fit is replaced.
+KS_THRESHOLD = 0.15
 
-@dataclass(frozen=True)
-class RefitPolicy:
-    """Knobs of the drift detector.
-
-    ``ks_threshold`` gates refits (see the module docstring for why 0.15);
-    ``min_samples`` is the window floor below which no drift verdict is
-    attempted; ``fallback_mean`` seeds operations that have never produced
-    enough samples to fit, mirroring :func:`repro.workloads.fitting.fit_behavior`.
-    """
-
-    ks_threshold: float = 0.15
-    min_samples: int = 30
-    fallback_mean: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ks_threshold <= 1.0:
-            raise ConfigurationError(
-                f"ks_threshold must be in (0, 1], got {self.ks_threshold}"
-            )
-        if self.min_samples < 2:
-            raise ConfigurationError(f"min_samples must be >= 2, got {self.min_samples}")
-        if self.fallback_mean <= 0.0:
-            raise ConfigurationError(
-                f"fallback_mean must be positive, got {self.fallback_mean}"
-            )
+#: Window floor below which no drift verdict is attempted.
+MIN_WINDOW_SAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -92,8 +80,7 @@ class _MovieFits:
 class IncrementalRefitter:
     """Keeps per-movie fitted distributions current; refits only on drift."""
 
-    def __init__(self, policy: RefitPolicy | None = None) -> None:
-        self.policy = policy or RefitPolicy()
+    def __init__(self) -> None:
         self._fits: dict[int, _MovieFits] = {}
         self.ticks = 0
         self.refits = 0
@@ -124,7 +111,7 @@ class IncrementalRefitter:
 
         Per operation: not enough samples → keep the current fit (or install
         the exponential fallback if there is none); enough samples and the
-        current fit is within ``ks_threshold`` → keep it; otherwise refit
+        current fit is within :data:`KS_THRESHOLD` → keep it; otherwise refit
         from the window.  A failed refit (degenerate window) also keeps the
         current fit — a live control plane never dies on bad data.
         """
@@ -136,24 +123,24 @@ class IncrementalRefitter:
         for op in VCROperation:
             window = snapshot.durations.get(op, ())
             current = fits.durations.get(op)
-            if len(window) < self.policy.min_samples:
+            if len(window) < MIN_WINDOW_SAMPLES:
                 ks_by_op[op] = math.nan
                 skipped.append(op)
                 if current is None:
-                    fits.durations[op] = ExponentialDuration(self.policy.fallback_mean)
+                    fits.durations[op] = ExponentialDuration(FALLBACK_MEAN)
                 continue
             if current is None:
                 # First full window of this operation: fit unconditionally.
                 ks_by_op[op] = math.inf
             else:
                 ks_by_op[op] = ks_distance(window, current)
-                if ks_by_op[op] <= self.policy.ks_threshold:
+                if ks_by_op[op] <= KS_THRESHOLD:
                     continue
             try:
                 fits.durations[op], _ = fit_duration_distribution(window)
             except FittingError:
                 if current is None:
-                    fits.durations[op] = ExponentialDuration(self.policy.fallback_mean)
+                    fits.durations[op] = ExponentialDuration(FALLBACK_MEAN)
                 continue
             refitted.append(op)
         if refitted:
@@ -180,7 +167,7 @@ class IncrementalRefitter:
         fits = self._fits.get(snapshot.movie_id)
         durations = dict(fits.durations) if fits else {}
         for op in VCROperation:
-            durations.setdefault(op, ExponentialDuration(self.policy.fallback_mean))
+            durations.setdefault(op, ExponentialDuration(FALLBACK_MEAN))
         think = snapshot.mean_think_time
         if think is None or think <= 0.0:
             think = 15.0

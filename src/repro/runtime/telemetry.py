@@ -13,8 +13,8 @@ Counter decay follows the standard exponentially-weighted scheme: a count
 and every arrival adds 1, so in steady state at rate ``lambda`` the counter
 converges to ``lambda / beta`` with ``beta = ln 2 / h`` — which makes
 ``rate = C * beta`` an online rate estimator with a built-in forgetting
-window.  Duration samples keep the most recent ``window_size`` values per
-operation, the window the KS drift detector of :mod:`repro.runtime.refit`
+window.  The half-life is :data:`HALF_LIFE_MINUTES` (240).  Duration samples
+keep the most recent :data:`WINDOW_SIZE` (512) values per operation, the window the KS drift detector of :mod:`repro.runtime.refit`
 tests against the currently fitted distribution.
 
 :class:`TelemetryHub` multiplexes movies and speaks two dialects: the
@@ -35,9 +35,20 @@ from repro.core.vcrop import VCROperation
 from repro.exceptions import ConfigurationError
 from repro.workloads.events import SessionRecord, Trace
 
-__all__ = ["TelemetrySnapshot", "MovieTelemetry", "TelemetryHub"]
+__all__ = [
+    "WINDOW_SIZE",
+    "HALF_LIFE_MINUTES",
+    "TelemetrySnapshot",
+    "MovieTelemetry",
+    "TelemetryHub",
+]
 
-_LN2 = math.log(2.0)
+#: Duration samples kept per operation (the KS drift detector's window).
+WINDOW_SIZE = 512
+#: Half-life (minutes) of the decayed arrival, event and mix counters.
+HALF_LIFE_MINUTES = 240.0
+
+_BETA = math.log(2.0) / HALF_LIFE_MINUTES
 
 
 @dataclass(frozen=True)
@@ -76,26 +87,13 @@ class TelemetrySnapshot:
 class MovieTelemetry:
     """Rolling, exponentially decayed statistics for one movie."""
 
-    def __init__(
-        self,
-        movie_id: int,
-        movie_length: float,
-        window_size: int = 512,
-        half_life_minutes: float = 240.0,
-    ) -> None:
+    def __init__(self, movie_id: int, movie_length: float) -> None:
         if movie_length <= 0.0:
             raise ConfigurationError(f"movie_length must be positive, got {movie_length}")
-        if window_size < 1:
-            raise ConfigurationError(f"window_size must be >= 1, got {window_size}")
-        if half_life_minutes <= 0.0:
-            raise ConfigurationError(
-                f"half_life_minutes must be positive, got {half_life_minutes}"
-            )
         self.movie_id = movie_id
         self.movie_length = float(movie_length)
-        self._beta = _LN2 / half_life_minutes
         self._windows: dict[VCROperation, deque[float]] = {
-            op: deque(maxlen=window_size) for op in VCROperation
+            op: deque(maxlen=WINDOW_SIZE) for op in VCROperation
         }
         # Decayed counters share one clock; raw integer totals never decay.
         self._decayed: dict[str, float] = {
@@ -121,7 +119,7 @@ class MovieTelemetry:
             # counter clock instead of rejecting them (the decay error is
             # bounded by the session overlap, negligible against half-life).
             now = self._decayed_at
-        factor = math.exp(-self._beta * (now - self._decayed_at))
+        factor = math.exp(-_BETA * (now - self._decayed_at))
         if factor < 1.0:
             for key in self._decayed:
                 self._decayed[key] *= factor
@@ -171,7 +169,7 @@ class MovieTelemetry:
         # exists; require a few arrivals before reporting anything.
         if self.sessions_seen < 3 or self._decayed["arrivals"] <= 0.0:
             return None
-        return self._decayed["arrivals"] * self._beta
+        return self._decayed["arrivals"] * _BETA
 
     def mix(self, now: float) -> VCRMix | None:
         """Decayed operation mix, None before any operation was seen."""
@@ -216,9 +214,7 @@ class MovieTelemetry:
 class TelemetryHub:
     """Multiplexes per-movie telemetry; speaks observer and replay dialects."""
 
-    def __init__(self, window_size: int = 512, half_life_minutes: float = 240.0) -> None:
-        self._window_size = window_size
-        self._half_life = half_life_minutes
+    def __init__(self) -> None:
         self._movies: dict[int, MovieTelemetry] = {}
         self._outage = False
         self.samples_dropped = 0
@@ -258,12 +254,7 @@ class TelemetryHub:
                 raise ConfigurationError(
                     f"first contact with movie {movie_id} must supply its length"
                 )
-            telemetry = MovieTelemetry(
-                movie_id,
-                movie_length,
-                window_size=self._window_size,
-                half_life_minutes=self._half_life,
-            )
+            telemetry = MovieTelemetry(movie_id, movie_length)
             self._movies[movie_id] = telemetry
         return telemetry
 

@@ -172,7 +172,6 @@ class AdmissionEngine:
         tick_minutes: float = 30.0,
         faults: ServiceFaultConfig | None = None,
         slo: SLOConfig | None = None,
-        slo_shedding: bool = True,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
@@ -226,7 +225,6 @@ class AdmissionEngine:
         self._slo: SLOMonitor | None = None
         if slo is not None:
             self._slo = SLOMonitor(slo, registry=registry, tracer=self._tracer)
-        self._slo_shedding = slo_shedding
         self._trace_seq = 0
         self.degradation = DegradationManager(
             _ClockEnv(self._clock),
@@ -846,11 +844,7 @@ class AdmissionEngine:
                 trace_id=context.trace_id,
             )
             for alert in alerts:
-                if (
-                    alert.breaching
-                    and alert.severity == "page"
-                    and self._slo_shedding
-                ):
+                if alert.breaching and alert.severity == "page":
                     self._arm_slo_shedding()
 
     def _arm_slo_shedding(self) -> None:

@@ -13,12 +13,12 @@ and the exact request that trips the stall guard.
 knob                   effect
 =====================  ======================================================
 ``drop_every``         the server severs every *k*-th accepted connection
-                       after ``drop_after_requests`` requests (simulating the
-                       peer vanishing mid-session); its sessions close with
+                       right after its first request (simulating the peer
+                       vanishing mid-session); its sessions close with
                        reason ``dropped`` and the server keeps serving
 ``stall_every``        every *k*-th connection is declared a slow client
-                       after ``stall_after_requests`` requests — the guard
-                       that normally fires when a client stops draining its
+                       right after its first request — the guard that
+                       normally fires when a client stops draining its
                        socket — and is closed gracefully the same way
 ``actuation_failures`` the first *n* plan actuations raise, driving the
                        control loop's circuit breaker open (the service
@@ -50,9 +50,7 @@ class ServiceFaultConfig:
     """Deterministic failure schedule for one service run."""
 
     drop_every: int | None = None
-    drop_after_requests: int = 1
     stall_every: int | None = None
-    stall_after_requests: int = 1
     actuation_failures: int = 0
     capacity_fault_at: float | None = None
     capacity_fraction: float = 0.5
@@ -66,8 +64,6 @@ class ServiceFaultConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if self.drop_after_requests < 0 or self.stall_after_requests < 0:
-            raise ConfigurationError("fault request thresholds must be >= 0")
         if self.actuation_failures < 0:
             raise ConfigurationError(
                 f"actuation_failures must be >= 0, got {self.actuation_failures}"

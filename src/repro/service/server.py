@@ -46,6 +46,9 @@ _log = get_logger("service.server")
 #: Largest accepted request line, in bytes (a sane JSON request is ~100 B).
 MAX_LINE_BYTES = 4096
 
+#: Wall seconds a shutdown waits for in-flight requests before closing sessions.
+DRAIN_GRACE_SECONDS = 5.0
+
 
 class AdmissionService:
     """Asyncio TCP server wrapping one :class:`AdmissionEngine`."""
@@ -58,7 +61,6 @@ class AdmissionService:
         max_in_flight: int = 1024,
         registry=None,
         tracer=None,
-        drain_grace_seconds: float = 5.0,
     ) -> None:
         self._engine = engine
         self._host = host
@@ -73,7 +75,6 @@ class AdmissionService:
                 "repro_service_request_latency_seconds",
                 "wall seconds from request read to response write",
             )
-        self._drain_grace = drain_grace_seconds
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._connection_count = 0
@@ -123,7 +124,7 @@ class AdmissionService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = self._clock.seconds() + self._drain_grace
+        deadline = self._clock.seconds() + DRAIN_GRACE_SECONDS
         while self.limiter.in_flight > 0 and self._clock.seconds() < deadline:
             await asyncio.sleep(0.01)
         closed = self._engine.drain(in_flight=self.limiter.in_flight)
@@ -142,7 +143,6 @@ class AdmissionService:
         connection_index = self._connection_count
         faults = self._engine._faults
         session_ids: set[int] = set()
-        requests_on_connection = 0
         self._connections.add(writer)
         try:
             while not self.draining:
@@ -160,10 +160,9 @@ class AdmissionService:
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
-                requests_on_connection += 1
                 await self._serve_line(text, writer, session_ids)
                 if faults.any_connection_faults and self._fault_hits(
-                    faults, connection_index, requests_on_connection, session_ids
+                    faults, connection_index, session_ids
                 ):
                     break
         finally:
@@ -178,23 +177,20 @@ class AdmissionService:
         self,
         faults,
         connection_index: int,
-        requests_on_connection: int,
         session_ids: set[int],
     ) -> bool:
-        """Apply any scheduled connection fault; True severs the connection."""
-        if (
-            faults.drops_connection(connection_index)
-            and requests_on_connection >= faults.drop_after_requests
-        ):
+        """Apply any scheduled connection fault; True severs the connection.
+
+        Called after each answered request, so a scheduled connection is
+        severed right after its first one.
+        """
+        if faults.drops_connection(connection_index):
             self.connections_dropped += 1
             self._engine.close_connection_sessions(session_ids, "dropped")
             session_ids.clear()
             _log.warning("injected drop: severing connection %d", connection_index)
             return True
-        if (
-            faults.stalls_connection(connection_index)
-            and requests_on_connection >= faults.stall_after_requests
-        ):
+        if faults.stalls_connection(connection_index):
             self.connections_stalled += 1
             self._engine.close_connection_sessions(session_ids, "stalled")
             session_ids.clear()

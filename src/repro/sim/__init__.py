@@ -12,13 +12,10 @@ implements one from scratch in the style familiar from SimPy:
 * :class:`~repro.sim.rng.RandomStreams` — independent, reproducible named
   random substreams.
 * :mod:`~repro.sim.metrics` — counters and time-weighted statistics.
-* :mod:`~repro.sim.replication` — Monte-Carlo replication harness
-  (mean ± 95% CI aggregation over the deterministic parallel executor).
 """
 
 from repro.sim.engine import Environment, Event, Interrupt, Process, Timeout
 from repro.sim.metrics import Counter, MetricsRegistry, TimeWeighted
-from repro.sim.replication import MetricSummary, ReplicationReport, run_replications
 from repro.sim.resources import Resource, ResourceRequest
 from repro.sim.rng import RandomStreams
 
@@ -34,7 +31,4 @@ __all__ = [
     "Counter",
     "TimeWeighted",
     "MetricsRegistry",
-    "MetricSummary",
-    "ReplicationReport",
-    "run_replications",
 ]

@@ -7,8 +7,9 @@ nominal so his position drifts into a partition window, at which point the
 dedicated stream is released (Golubchik, Lui & Muntz 1996).
 
 Display-rate deviations are bounded by what viewers tolerate; the classic
-figure is ±5%.  Given a missed viewer between two partitions, this policy
-picks the cheaper drift direction and computes the merge time analytically:
+figure is ±5%, :data:`RATE_TOLERANCE` (0.05).  Given a missed viewer between
+two partitions, this policy picks the cheaper drift direction and computes the
+merge time analytically:
 
 * drift *forward* (display at ``1 + ε``): the viewer gains on the partition
   ahead, whose trailing edge is ``gap_ahead`` in front; merge after
@@ -25,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError
+__all__ = ["RATE_TOLERANCE", "MergePlan", "PiggybackPolicy"]
 
-__all__ = ["MergePlan", "PiggybackPolicy"]
+#: The display-rate deviation epsilon a drifting viewer tolerates.
+RATE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,7 @@ class MergePlan:
 
 
 class PiggybackPolicy:
-    """Plans merges for miss-resumed viewers under a display-rate tolerance."""
-
-    def __init__(self, rate_tolerance: float = 0.05) -> None:
-        if not 0.0 < rate_tolerance < 1.0:
-            raise ConfigurationError(
-                f"rate tolerance must be in (0, 1), got {rate_tolerance}"
-            )
-        self._epsilon = rate_tolerance
-
-    @property
-    def rate_tolerance(self) -> float:
-        """The display-rate deviation epsilon."""
-        return self._epsilon
+    """Plans merges for miss-resumed viewers under :data:`RATE_TOLERANCE`."""
 
     def plan_from_gaps(
         self,
@@ -83,21 +73,21 @@ class PiggybackPolicy:
         partition ahead; ``gap_behind`` to the leading edge of the nearest
         partition behind (both in movie minutes, ``None`` when absent).
         """
-        drift = self._epsilon * playback_rate
+        drift = RATE_TOLERANCE * playback_rate
         forward_time = gap_ahead / drift if gap_ahead is not None else math.inf
         backward_time = gap_behind / drift if gap_behind is not None else math.inf
 
         # Forward drift also advances the viewer; the merge must happen
         # before *he* reaches the end at the faster rate.
         forward_deadline = minutes_to_end * playback_rate / (
-            playback_rate * (1.0 + self._epsilon)
+            playback_rate * (1.0 + RATE_TOLERANCE)
         )
         if forward_time > forward_deadline:
             forward_time = math.inf
         # Backward drift slows the viewer down, extending his session; the
         # merge must land before the (slowed) session ends.
         backward_deadline = minutes_to_end * playback_rate / (
-            playback_rate * (1.0 - self._epsilon)
+            playback_rate * (1.0 - RATE_TOLERANCE)
         )
         if backward_time > backward_deadline:
             backward_time = math.inf

@@ -154,7 +154,6 @@ class VODServer:
         buffer_pool: BufferPool,
         behavior: VCRBehavior | Mapping[int, VCRBehavior],
         workload: ServerWorkload,
-        piggyback: PiggybackPolicy | None = None,
         observers: tuple = (),
         gate=None,
         tracer=None,
@@ -174,7 +173,7 @@ class VODServer:
                     f"per-movie behaviours missing for popular movie ids {missing}"
                 )
         self._workload = workload
-        self._piggyback = piggyback or PiggybackPolicy()
+        self._piggyback = PiggybackPolicy()
         # Observers see session/VCR/resume events (duck-typed: any subset of
         # the hooks documented in repro.vod.observers); the gate may veto
         # admissions before routing.  When tracing is on, a TracingObserver

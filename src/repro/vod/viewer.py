@@ -29,7 +29,7 @@ from repro.sim.engine import Environment, Event
 from repro.sim.metrics import MetricsRegistry
 from repro.vod.observers import notify_observers
 from repro.vod.partitioning import MovieService
-from repro.vod.piggyback import PiggybackPolicy
+from repro.vod.piggyback import RATE_TOLERANCE, PiggybackPolicy
 from repro.vod.streams import StreamGrant, StreamPool, StreamPurpose
 from repro.vod.vcr import VCRBehavior
 
@@ -274,9 +274,10 @@ class PopularViewer:
         if grant.revoked:
             self._count_op("piggyback.aborted")
             return False
-        epsilon = self._piggyback.rate_tolerance
         if plan.merges:
-            factor = 1.0 + epsilon if plan.direction == "forward" else 1.0 - epsilon
+            factor = (
+                1.0 + RATE_TOLERANCE if plan.direction == "forward" else 1.0 - RATE_TOLERANCE
+            )
             self.position = min(length, self.position + hold * rates.playback * factor)
             self._count_op("piggyback.merged")
         else:

@@ -41,9 +41,18 @@ from repro.vod.vcr import VCRBehavior
 from repro.workloads.analysis import analyze_trace
 from repro.workloads.events import Trace
 
-__all__ = ["ks_distance", "fit_duration_distribution", "FittedBehavior", "fit_behavior"]
+__all__ = [
+    "FALLBACK_MEAN",
+    "ks_distance",
+    "fit_duration_distribution",
+    "FittedBehavior",
+    "fit_behavior",
+]
 
 _MIN_SAMPLES = 8
+
+#: Mean (minutes) of the exponential that seeds an operation too sparse to fit.
+FALLBACK_MEAN = 5.0
 
 
 def ks_distance(samples: Sequence[float], dist: DurationDistribution) -> float:
@@ -174,11 +183,11 @@ class FittedBehavior:
         return f"FittedBehavior(mix={self.behavior.mix}, {fits})"
 
 
-def fit_behavior(trace: Trace, fallback_mean: float = 5.0) -> FittedBehavior:
+def fit_behavior(trace: Trace) -> FittedBehavior:
     """Fit the complete VCR behaviour out of a trace.
 
-    Operations with too few samples fall back to an exponential with
-    ``fallback_mean`` (and a KS of NaN) rather than failing — a deployment
+    Operations with too few samples fall back to an exponential with mean
+    :data:`FALLBACK_MEAN` (and a KS of NaN) rather than failing — a deployment
     bootstraps from sparse data.
     """
     stats = analyze_trace(trace)
@@ -200,7 +209,7 @@ def fit_behavior(trace: Trace, fallback_mean: float = 5.0) -> FittedBehavior:
         except FittingError:
             # Sparse or unusable samples (too few, non-finite from a corrupt
             # log): bootstrap from the fallback instead of dying mid-refit.
-            durations[op] = ExponentialDuration(fallback_mean)
+            durations[op] = ExponentialDuration(FALLBACK_MEAN)
             ks_by_op[op] = math.nan
     think = stats.mean_think_time if stats.mean_think_time else 15.0
     behavior = VCRBehavior(mix=mix, durations=durations, mean_think_time=think)

@@ -7,7 +7,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import ObsRegistry
 from repro.obs.scrape import parse_exposition
-from repro.obs.slo import OBJECTIVES, SLOConfig, SLOMonitor
+from repro.obs.slo import (
+    FAST_WINDOW_MINUTES,
+    OBJECTIVES,
+    PAGE_BURN,
+    SLOW_WINDOW_MINUTES,
+    WARN_BURN,
+    SLOConfig,
+    SLOMonitor,
+)
 
 
 class _StubTracer:
@@ -33,13 +41,6 @@ class TestSLOConfig:
     @pytest.mark.parametrize("kwargs", [
         {"latency_threshold_seconds": 0.0},
         {"latency_threshold_seconds": -1.0},
-        {"latency_target": 0.0},
-        {"latency_target": 1.0},
-        {"deny_target": 1.5},
-        {"fast_window_minutes": 0.0},
-        {"fast_window_minutes": 90.0},  # fast must not exceed slow
-        {"warn_burn": 0.0},
-        {"warn_burn": 3.0},  # warn must not exceed page
         {"min_samples": 0},
     ])
     def test_invalid_configs_raise(self, kwargs):
@@ -68,8 +69,8 @@ class TestBurnRateEdges:
         assert [(a.objective, a.severity, a.breaching) for a in edges] == [
             ("p99_latency", "page", True)
         ]
-        assert edges[0].burn_fast >= monitor.config.page_burn
-        assert edges[0].burn_slow >= monitor.config.page_burn
+        assert edges[0].burn_fast >= PAGE_BURN
+        assert edges[0].burn_slow >= PAGE_BURN
         assert edges[0].value == pytest.approx(0.2)
         assert monitor.alerts_emitted == 1
 
@@ -92,32 +93,27 @@ class TestBurnRateEdges:
         assert monitor.snapshot()["p99_latency"]["samples"] == 1
 
     def test_warn_then_page_escalation_is_two_edges(self):
-        config = SLOConfig(
-            latency_threshold_seconds=0.1, latency_target=0.5,
-            warn_burn=1.0, page_burn=1.5, min_samples=2,
-        )
-        monitor = SLOMonitor(config)
+        assert (WARN_BURN, PAGE_BURN) == (1.0, 2.0)
+        monitor = SLOMonitor(SLOConfig(latency_threshold_seconds=0.1, min_samples=60))
         edges = []
-        edges += monitor.record_decision(0.0, "resume", "ok", 0.2)   # bad
-        edges += monitor.record_decision(1.0, "resume", "ok", 0.01)  # good
-        # fraction 1/2 over budget 0.5 -> burn 1.0 -> warn.
+        for _ in range(59):
+            edges += monitor.record_decision(0.0, "resume", "ok", 0.01)  # good
+        edges += monitor.record_decision(1.0, "resume", "ok", 0.2)   # bad
+        # fraction 1/60 over budget 0.01 -> burn ~1.67 -> warn.
         assert [(a.severity, a.breaching) for a in edges] == [("warn", True)]
-        edges += monitor.record_decision(2.0, "resume", "ok", 0.2)   # bad
-        # fraction 2/3 -> burn ~1.33, still warn: no new edge.
+        edges += monitor.record_decision(2.0, "resume", "ok", 0.01)  # good
+        # fraction 1/61 -> burn ~1.64, still warn: no new edge.
         assert len(edges) == 1
         edges += monitor.record_decision(3.0, "resume", "ok", 0.2)   # bad
-        # fraction 3/4 -> burn 1.5 -> page edge.
+        # fraction 2/62 -> burn ~3.2 -> page edge.
         assert [(a.severity, a.breaching) for a in edges] == [
             ("warn", True), ("page", True)
         ]
 
     def test_slow_window_guard_blocks_stale_burn(self):
         """Old errors alone must not alert once the fast window is clean."""
-        config = SLOConfig(
-            latency_threshold_seconds=0.1, latency_target=0.9, min_samples=3,
-            fast_window_minutes=5.0, slow_window_minutes=60.0,
-        )
-        monitor = SLOMonitor(config)
+        assert (FAST_WINDOW_MINUTES, SLOW_WINDOW_MINUTES) == (5.0, 60.0)
+        monitor = SLOMonitor(SLOConfig(latency_threshold_seconds=0.1, min_samples=3))
         alerts = []
         alerts += monitor.record_decision(0.0, "resume", "ok", 0.2)  # bad
         alerts += monitor.record_decision(1.0, "resume", "ok", 0.2)  # bad
@@ -127,14 +123,14 @@ class TestBurnRateEdges:
         snapshot = monitor.snapshot()["p99_latency"]
         # The slow window still burns over the page threshold, but the fast
         # window is clean; min(fast, slow) keeps the severity at ok.
-        assert snapshot["burn_slow"] >= config.page_burn
+        assert snapshot["burn_slow"] >= PAGE_BURN
         assert snapshot["burn_fast"] == 0.0
         assert snapshot["severity"] == "ok"
 
 
 class TestDenyObjective:
     def _config(self) -> SLOConfig:
-        return SLOConfig(deny_target=0.5, min_samples=4)
+        return SLOConfig(min_samples=4)
 
     def test_rejected_session_starts_burn_the_budget(self):
         monitor = SLOMonitor(self._config())
@@ -184,7 +180,7 @@ class TestMirroring:
         ) == 0.0
         assert exposition.value(
             "repro_slo_burn_rate", objective="p99_latency", window="fast"
-        ) >= monitor.config.page_burn
+        ) >= PAGE_BURN
 
     def test_tracer_sees_alert_edges_with_trace_id(self):
         tracer = _StubTracer()

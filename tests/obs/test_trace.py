@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from repro.exceptions import ObservabilityError, TraceSchemaError
+from repro.exceptions import TraceSchemaError
 from repro.obs.trace import (
+    BUFFER_EVENTS,
     EVENT_SCHEMA,
     EVENT_SCHEMAS,
     SCHEMA_VERSION,
@@ -43,12 +44,14 @@ class TestWriter:
         }
 
     def test_buffer_flushes_on_overflow(self):
+        assert BUFFER_EVENTS == 256
         sink = io.StringIO()
-        writer = TraceWriter(sink, buffer_events=2)
-        writer.emit("run_start", 0.0, label="x")
+        writer = TraceWriter(sink)
+        for k in range(BUFFER_EVENTS - 1):
+            writer.emit("run_start", float(k), label="x")
         assert sink.getvalue() == ""
         writer.emit("run_end", 1.0, label="x")
-        assert len(sink.getvalue().splitlines()) == 2
+        assert len(sink.getvalue().splitlines()) == BUFFER_EVENTS
 
     def test_validation_rejects_bad_payload_at_emission(self):
         writer = TraceWriter(io.StringIO())
@@ -69,10 +72,6 @@ class TestWriter:
         events = list(read_trace(path))
         assert len(events) == 5
         assert validate_trace_file(path) == 5
-
-    def test_bad_buffer_size_rejected(self):
-        with pytest.raises(ObservabilityError):
-            TraceWriter(io.StringIO(), buffer_events=0)
 
 
 class TestNullWriter:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.hitmodel import VCRMix
 from repro.core.hitsets import hit_probability
+from repro.core.parameters import SystemConfiguration, VCRRates
 from repro.core.vcrop import VCROperation
+from repro.distributions import ExponentialDuration
 from repro.experiments.figure8 import figure8_tasks, run_figure8
 from repro.experiments.figure9 import run_figure9
 from repro.experiments.registry import run_experiment
-from repro.parallel.executor import fork_available
+from repro.parallel.executor import ParallelExecutor, fork_available
+from repro.simulation.hit_simulator import HitSimulator, SimulationSettings
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -82,6 +86,36 @@ class TestFigure8ScalarOracle:
             (out / f"figure8_{index}.csv").read_text() for index in range(3)
         ]
         assert written == scalar_figure8_csvs
+
+
+def _simulate(replication: int) -> tuple[float, int, int]:
+    """One seeded hit-simulator replication (module level: it is pickled)."""
+    config = SystemConfiguration(
+        movie_length=60.0,
+        num_partitions=6,
+        buffer_minutes=30.0,
+        rates=VCRRates.paper_default(),
+    )
+    simulator = HitSimulator(
+        config,
+        ExponentialDuration(5.0),
+        mix=VCRMix.paper_figure7d(),
+        settings=SimulationSettings(
+            arrival_rate=0.5, horizon=120.0, warmup=20.0, seed=424242
+        ),
+    )
+    result = simulator.run(replication)
+    return (result.overall.rate, result.overall.successes, result.viewers_started)
+
+
+class TestSimulatorReplications:
+    def test_worker_count_invariant(self):
+        serial = ParallelExecutor(workers=1).map(_simulate, range(4))
+        parallel = ParallelExecutor(workers=4).map(_simulate, range(4))
+        assert parallel.workers == 4
+        assert serial.results == parallel.results
+        # Independent seed-tree branches: the replications are not all alike.
+        assert len(set(serial.results)) > 1
 
 
 class TestRegistryKnob:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, WorkerCrashError
 from repro.parallel.executor import (
+    MAX_SHARD_RETRIES,
     ParallelExecutor,
     ParallelOutcome,
     ShardReport,
@@ -108,7 +109,7 @@ class TestWorkerCrashRecovery:
     def test_dead_worker_shard_is_reassigned(self, tmp_path):
         sentinel = str(tmp_path / "crashed")
         items = [(sentinel, i) for i in range(8)]
-        executor = ParallelExecutor(workers=4, max_shard_retries=2)
+        executor = ParallelExecutor(workers=4)
         outcome = executor.map(_crash_once, items)
         assert outcome.results == tuple(i * i for i in range(8))
         assert executor.shard_retries >= 1
@@ -126,18 +127,12 @@ class TestWorkerCrashRecovery:
         assert recovered.results == serial.results
 
     def test_retries_are_bounded(self):
-        executor = ParallelExecutor(workers=2, max_shard_retries=1)
-        with pytest.raises(WorkerCrashError, match="gave up"):
+        assert MAX_SHARD_RETRIES == 2
+        executor = ParallelExecutor(workers=2)
+        with pytest.raises(WorkerCrashError, match="gave up after 2 retries each"):
             executor.map(_always_crash, range(4))
-
-    def test_zero_retries_fail_fast(self):
-        executor = ParallelExecutor(workers=2, max_shard_retries=0)
-        with pytest.raises(WorkerCrashError):
-            executor.map(_always_crash, range(4))
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(workers=2, max_shard_retries=-1)
+        # Both shards were re-submitted twice before the executor gave up.
+        assert executor.shard_retries == 2 * MAX_SHARD_RETRIES
 
 
 class TestTelemetry:

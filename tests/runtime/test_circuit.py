@@ -8,13 +8,20 @@ from repro.core.parameters import SystemConfiguration
 from repro.distributions import GammaDuration
 from repro.exceptions import (
     ActuationRetryExhausted,
-    ConfigurationError,
     DegradedModeError,
     SimulationError,
 )
 from repro.runtime.actuator import ActuationReport, PlanActuator
-from repro.runtime.circuit import CircuitBreaker, GuardedControlLoop
+from repro.runtime.circuit import (
+    BACKOFF_FACTOR,
+    BASE_BACKOFF_MINUTES,
+    FAILURE_THRESHOLD,
+    MAX_BACKOFF_MINUTES,
+    CircuitBreaker,
+    GuardedControlLoop,
+)
 from repro.runtime.controller import (
+    MAX_REQUEUE_ATTEMPTS,
     AllocationDelta,
     CapacityController,
     ControllerPolicy,
@@ -55,19 +62,15 @@ def _change(movie_id=0):
     )
 
 
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(base_backoff_minutes=0.0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(backoff_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(base_backoff_minutes=60.0, max_backoff_minutes=30.0)
+def _fail(breaker, times, now=0.0):
+    for _ in range(times):
+        breaker.record_failure(now)
 
+
+class TestCircuitBreaker:
     def test_stays_closed_below_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3)
+        assert FAILURE_THRESHOLD == 3
+        breaker = CircuitBreaker()
         breaker.record_failure(10.0)
         breaker.record_failure(20.0)
         assert breaker.state == "closed"
@@ -75,50 +78,54 @@ class TestCircuitBreaker:
         assert breaker.consecutive_failures == 2
 
     def test_opens_at_threshold_and_gates_until_backoff(self):
-        breaker = CircuitBreaker(failure_threshold=2, base_backoff_minutes=30.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(10.0)
+        breaker.record_failure(15.0)
         breaker.record_failure(20.0)
         assert breaker.state == "open"
-        assert breaker.retry_at == 50.0
+        assert breaker.retry_at == 50.0     # 20 + the 30-minute base backoff
         assert not breaker.allow(30.0)
         assert breaker.allow(50.0)
         assert breaker.state == "half_open"
 
     def test_success_closes_and_resets(self):
-        breaker = CircuitBreaker(failure_threshold=1, base_backoff_minutes=10.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(10.0)
+        breaker = CircuitBreaker()
+        _fail(breaker, FAILURE_THRESHOLD)
+        assert breaker.allow(30.0)
         breaker.record_success()
         assert breaker.state == "closed"
         assert breaker.consecutive_failures == 0
         # The next open starts from the base backoff again.
-        breaker.record_failure(100.0)
-        assert breaker.retry_at == 110.0
+        _fail(breaker, FAILURE_THRESHOLD, now=100.0)
+        assert breaker.retry_at == 130.0
 
     def test_half_open_failure_doubles_backoff(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, base_backoff_minutes=10.0, backoff_factor=2.0
-        )
-        breaker.record_failure(0.0)
-        assert breaker.retry_at == 10.0
-        assert breaker.allow(10.0)          # half-open probe
-        breaker.record_failure(10.0)        # probe failed
+        breaker = CircuitBreaker()
+        _fail(breaker, FAILURE_THRESHOLD)
+        assert breaker.retry_at == 30.0
+        assert breaker.allow(30.0)          # half-open probe
+        breaker.record_failure(30.0)        # probe failed
         assert breaker.state == "open"
-        assert breaker.retry_at == 30.0     # 10 + doubled 20
-        assert breaker.allow(30.0)
-        breaker.record_failure(30.0)
-        assert breaker.retry_at == 70.0     # 30 + doubled-again 40
+        assert breaker.retry_at == 90.0     # 30 + doubled 60
+        assert breaker.allow(90.0)
+        breaker.record_failure(90.0)
+        assert breaker.retry_at == 210.0    # 90 + doubled-again 120
 
     def test_backoff_is_capped(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, base_backoff_minutes=10.0, max_backoff_minutes=25.0
+        assert (BASE_BACKOFF_MINUTES, BACKOFF_FACTOR, MAX_BACKOFF_MINUTES) == (
+            30.0, 2.0, 480.0
         )
+        breaker = CircuitBreaker()
+        _fail(breaker, FAILURE_THRESHOLD - 1)
         now = 0.0
-        for _ in range(5):
+        waits = []
+        for _ in range(7):
             breaker.record_failure(now)
+            waits.append(breaker.retry_at - now)
             now = breaker.retry_at
             assert breaker.allow(now)
-        assert breaker.current_backoff() == 25.0
+        assert waits == [30.0, 60.0, 120.0, 240.0, 480.0, 480.0, 480.0]
+        assert breaker.current_backoff() == 480.0
 
 
 class _FlakyController:
@@ -158,32 +165,26 @@ class _FakeActuator:
 class TestGuardedControlLoop:
     def test_failures_trip_the_breaker_and_the_loop_coasts(self):
         controller = _FlakyController(failures=10)
-        loop = GuardedControlLoop(
-            controller,
-            _FakeActuator(),
-            breaker=CircuitBreaker(failure_threshold=2, base_backoff_minutes=60.0),
-        )
+        loop = GuardedControlLoop(controller, _FakeActuator())
         assert loop.run_tick(0.0) is None
+        assert loop.run_tick(5.0) is None
         assert not loop.degraded
         assert loop.run_tick(10.0) is None
         assert loop.degraded
-        assert loop.failures == 2
+        assert loop.failures == 3
         # Open: the controller is not even called.
         assert loop.run_tick(20.0) is None
-        assert controller.ticks == 2
+        assert controller.ticks == 3
         assert loop.ticks_coasted == 1
         with pytest.raises(DegradedModeError, match="open"):
             loop.require_healthy()
 
     def test_recovery_probe_closes_the_breaker(self):
         delta = _delta()
-        controller = _FlakyController(failures=1, delta=delta)
-        loop = GuardedControlLoop(
-            controller,
-            _FakeActuator(),
-            breaker=CircuitBreaker(failure_threshold=1, base_backoff_minutes=30.0),
-        )
-        assert loop.run_tick(0.0) is None
+        controller = _FlakyController(failures=3, delta=delta)
+        loop = GuardedControlLoop(controller, _FakeActuator())
+        for _ in range(FAILURE_THRESHOLD):
+            assert loop.run_tick(0.0) is None
         assert loop.degraded
         assert loop.run_tick(10.0) is None        # still inside the backoff
         assert loop.run_tick(30.0) is delta       # half-open probe succeeds
@@ -202,26 +203,18 @@ class TestGuardedControlLoop:
         assert loop.last_good is None
 
     def test_last_error_surfaces_in_require_healthy(self):
-        loop = GuardedControlLoop(
-            _FlakyController(failures=5),
-            _FakeActuator(),
-            breaker=CircuitBreaker(failure_threshold=1),
-        )
-        loop.run_tick(0.0)
+        loop = GuardedControlLoop(_FlakyController(failures=5), _FakeActuator())
+        for _ in range(FAILURE_THRESHOLD):
+            loop.run_tick(0.0)
         assert isinstance(loop.last_error, SimulationError)
         with pytest.raises(DegradedModeError, match="solver exploded"):
             loop.require_healthy()
 
 
 class TestActuationRequeue:
-    def _controller(self, max_attempts=3):
+    def _controller(self):
         slots = [MovieSlot(movie_id=0, name="m0", length=120.0, max_wait=2.0)]
-        policy = ControllerPolicy(max_requeue_attempts=max_attempts)
-        return CapacityController(slots, TelemetryHub(), policy=policy)
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            ControllerPolicy(max_requeue_attempts=0)
+        return CapacityController(slots, TelemetryHub(), policy=ControllerPolicy())
 
     def test_full_application_clears_state(self):
         controller = self._controller()
@@ -246,13 +239,15 @@ class TestActuationRequeue:
         assert controller.counters()["requeued_actuations"] == 1
 
     def test_retries_are_bounded(self):
-        controller = self._controller(max_attempts=2)
+        assert MAX_REQUEUE_ATTEMPTS == 3
+        controller = self._controller()
         delta = _delta(changes=[_change(0)])
         report = ActuationReport(
             100.0, applied=(), rejected=((delta.changes[0], "no space"),)
         )
-        controller.notify_actuation(report, delta)
-        assert controller.tick(160.0) is not None
+        for attempt in range(MAX_REQUEUE_ATTEMPTS - 1):
+            controller.notify_actuation(report, delta)
+            assert controller.tick(160.0 + attempt) is not None
         with pytest.raises(ActuationRetryExhausted, match="m0"):
             controller.notify_actuation(report, delta)
         # The failed remainder was dropped; a fresh success resets cleanly.

@@ -39,7 +39,7 @@ def hub_trace():
 
 def _misallocated_controller(trace) -> tuple[CapacityController, TelemetryHub]:
     """An incumbent plan and offline fit both wrong: the first tick re-plans."""
-    hub = TelemetryHub(half_life_minutes=300.0)
+    hub = TelemetryHub()
     hub.ingest_trace(trace)
     mirror = {
         0: SystemConfiguration(movie_length=120.0, num_partitions=29, buffer_minutes=62.0),

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.vcrop import VCROperation
 from repro.distributions import ExponentialDuration, GammaDuration, UniformDuration
-from repro.exceptions import ConfigurationError
-from repro.runtime.refit import IncrementalRefitter, RefitPolicy
+from repro.runtime.refit import KS_THRESHOLD, MIN_WINDOW_SAMPLES, IncrementalRefitter
+from repro.workloads.fitting import FALLBACK_MEAN
 from repro.runtime.telemetry import MovieTelemetry
 from repro.vod.vcr import VCRBehavior
 
@@ -28,16 +28,6 @@ def _snapshot_with(durations_by_op, now=100.0, rng_seed=1):
             t += 0.001
     telemetry.record_playback(12.0 * telemetry.events_seen, now)
     return telemetry.snapshot(now)
-
-
-class TestPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RefitPolicy(ks_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            RefitPolicy(min_samples=1)
-        with pytest.raises(ConfigurationError):
-            RefitPolicy(fallback_mean=0.0)
 
 
 class TestDriftGate:
@@ -82,7 +72,8 @@ class TestDriftGate:
         snap = _snapshot_with({op: rng.gamma(2.0, 4.0, size=200) for op in VCROperation})
         report = refitter.observe(snap)
         assert report.drifted  # gamma(2,4) data vs exp(30) seed: KS is large
-        assert all(report.ks_by_operation[op] > 0.15 for op in VCROperation)
+        assert KS_THRESHOLD == 0.15
+        assert all(report.ks_by_operation[op] > KS_THRESHOLD for op in VCROperation)
 
     def test_seeded_matching_reference_stays_quiet(self, rng):
         refitter = IncrementalRefitter()
@@ -92,13 +83,25 @@ class TestDriftGate:
         assert not report.drifted
 
     def test_thin_window_keeps_fallback(self):
-        refitter = IncrementalRefitter(RefitPolicy(min_samples=30, fallback_mean=4.0))
+        refitter = IncrementalRefitter()
+        assert (MIN_WINDOW_SAMPLES, FALLBACK_MEAN) == (30, 5.0)
         snap = _snapshot_with({VCROperation.PAUSE: [3.0] * 5})
         report = refitter.observe(snap)
         assert set(report.skipped_insufficient) == set(VCROperation)
         assert not report.drifted
         fits = refitter.fitted_durations(0)
-        assert fits[VCROperation.PAUSE].mean == 4.0
+        assert fits[VCROperation.PAUSE].mean == FALLBACK_MEAN
+
+    def test_window_floor_is_thirty_samples(self, rng):
+        """29 samples keep the fallback; the 30th makes the window fit."""
+        refitter = IncrementalRefitter()
+        samples = rng.gamma(2.0, 4.0, size=MIN_WINDOW_SAMPLES)
+        short = refitter.observe(_snapshot_with({VCROperation.PAUSE: samples[:-1]}))
+        assert VCROperation.PAUSE in short.skipped_insufficient
+        assert refitter.fitted_durations(0)[VCROperation.PAUSE].mean == FALLBACK_MEAN
+        full = refitter.observe(_snapshot_with({VCROperation.PAUSE: samples}))
+        assert VCROperation.PAUSE not in full.skipped_insufficient
+        assert not math.isnan(full.ks_by_operation[VCROperation.PAUSE])
 
     def test_degenerate_window_does_not_crash(self, rng):
         """An all-identical window refits to the point mass, not a crash."""

@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.vcrop import VCROperation
 from repro.exceptions import ConfigurationError
-from repro.runtime.telemetry import MovieTelemetry, TelemetryHub
+from repro.runtime.telemetry import (
+    HALF_LIFE_MINUTES,
+    WINDOW_SIZE,
+    MovieTelemetry,
+    TelemetryHub,
+)
 from repro.vod.vcr import VCRBehavior
 from repro.workloads.generator import WorkloadGenerator
 
@@ -19,7 +24,7 @@ def replayed_hub():
         120.0, VCRBehavior.paper_figure7(mean_think_time=12.0), arrival_rate=0.5, seed=3
     )
     trace = generator.generate(1200.0)
-    hub = TelemetryHub(half_life_minutes=300.0)
+    hub = TelemetryHub()
     hub.ingest_trace(trace)
     return hub
 
@@ -28,18 +33,14 @@ class TestMovieTelemetry:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MovieTelemetry(0, movie_length=-1.0)
-        with pytest.raises(ConfigurationError):
-            MovieTelemetry(0, 120.0, window_size=0)
-        with pytest.raises(ConfigurationError):
-            MovieTelemetry(0, 120.0, half_life_minutes=0.0)
 
     def test_rate_estimator_converges(self):
         """Regular arrivals at rate r: the decayed counter reports ~r."""
-        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=60.0)
+        telemetry = MovieTelemetry(0, 120.0)
         rate = 0.5
-        for k in range(600):
+        for k in range(2400):
             telemetry.record_session_start(k / rate)
-        estimated = telemetry.arrival_rate(600.0 / rate)
+        estimated = telemetry.arrival_rate(2400.0 / rate)
         assert estimated == pytest.approx(rate, rel=0.05)
 
     def test_rate_needs_samples(self):
@@ -50,19 +51,29 @@ class TestMovieTelemetry:
 
     def test_decay_forgets_old_traffic(self):
         """A burst far in the past contributes almost nothing to the rate."""
-        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=60.0)
+        telemetry = MovieTelemetry(0, 120.0)
         for k in range(100):
             telemetry.record_session_start(float(k))
-        late = telemetry.arrival_rate(100.0 + 20 * 60.0)  # 20 half-lives later
+        late = telemetry.arrival_rate(100.0 + 20 * HALF_LIFE_MINUTES)  # 20 half-lives
         assert late is None or late < 1e-3
 
+    def test_counters_halve_every_240_minutes(self):
+        assert HALF_LIFE_MINUTES == 240.0
+        telemetry = MovieTelemetry(0, 120.0)
+        for _ in range(3):
+            telemetry.record_session_start(0.0)
+        fresh = telemetry.arrival_rate(0.0)
+        assert telemetry.arrival_rate(240.0) == pytest.approx(fresh / 2.0, rel=1e-12)
+        assert telemetry.arrival_rate(480.0) == pytest.approx(fresh / 4.0, rel=1e-12)
+
     def test_mix_tracks_operations(self):
-        # Huge half-life: decay is negligible, counters behave like raw counts.
-        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=1e9)
-        for k in range(6):
-            telemetry.record_operation(VCROperation.PAUSE, 3.0, float(k))
-        for k in range(6, 8):
-            telemetry.record_operation(VCROperation.FAST_FORWARD, 5.0, float(k))
+        # One timestamp: every counter decays alike, so the shares are the
+        # raw-count shares at any later time.
+        telemetry = MovieTelemetry(0, 120.0)
+        for _ in range(6):
+            telemetry.record_operation(VCROperation.PAUSE, 3.0, 0.0)
+        for _ in range(2):
+            telemetry.record_operation(VCROperation.FAST_FORWARD, 5.0, 0.0)
         mix = telemetry.mix(8.0)
         assert mix.p_pause == pytest.approx(0.75)
         assert mix.p_ff == pytest.approx(0.25)
@@ -71,7 +82,7 @@ class TestMovieTelemetry:
     def test_mix_without_pauses_clamps_rounding(self):
         """4 FF + 1 RW: ``1 - 0.8 - 0.2`` rounds to -5.6e-17; the pause
         share must come out as 0, not fail the mix's range check."""
-        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=1e9)
+        telemetry = MovieTelemetry(0, 120.0)
         for _ in range(4):
             telemetry.record_operation(VCROperation.FAST_FORWARD, 5.0, 0.0)
         telemetry.record_operation(VCROperation.REWIND, 5.0, 0.0)
@@ -81,12 +92,14 @@ class TestMovieTelemetry:
         assert (mix.p_ff, mix.p_rw) == (4 / 5, 1 / 5)
 
     def test_duration_window_is_bounded(self):
-        telemetry = MovieTelemetry(0, 120.0, window_size=16)
-        for k in range(100):
+        assert WINDOW_SIZE == 512
+        telemetry = MovieTelemetry(0, 120.0)
+        for k in range(600):
             telemetry.record_operation(VCROperation.REWIND, float(k), float(k))
         window = telemetry.durations_of(VCROperation.REWIND)
-        assert len(window) == 16
-        assert window[-1] == 99.0  # newest samples survive
+        assert len(window) == WINDOW_SIZE
+        assert window[0] == 600.0 - WINDOW_SIZE  # the oldest samples aged out
+        assert window[-1] == 599.0  # newest samples survive
 
     def test_rejects_bad_durations(self):
         telemetry = MovieTelemetry(0, 120.0)
@@ -96,8 +109,8 @@ class TestMovieTelemetry:
             telemetry.record_operation(VCROperation.PAUSE, math.nan, 0.0)
 
     def test_think_time_is_exposure_over_events(self):
-        telemetry = MovieTelemetry(0, 120.0, half_life_minutes=1e9)
-        telemetry.record_operation(VCROperation.PAUSE, 2.0, 10.0)
+        telemetry = MovieTelemetry(0, 120.0)
+        telemetry.record_operation(VCROperation.PAUSE, 2.0, 30.0)
         telemetry.record_operation(VCROperation.PAUSE, 2.0, 30.0)
         telemetry.record_playback(24.0, 30.0)
         assert telemetry.mean_think_time(30.0) == pytest.approx(12.0)

@@ -256,21 +256,3 @@ class TestSLOSheddingUnderFault:
         assert exposition.value(
             "repro_slo_breaching", objective="p99_latency"
         ) == 1.0
-
-    def test_shedding_can_be_disabled(self):
-        registry = ObsRegistry()
-        engine = make_engine(
-            capacity=20,
-            registry=registry,
-            faults=ServiceFaultConfig(
-                latency_fault_at=0.0, latency_fault_seconds=5.0
-            ),
-            slo=SLOConfig(latency_threshold_seconds=0.5, min_samples=10),
-            slo_shedding=False,
-        )
-        for session in range(1, 9):
-            start(engine, session, 0)
-        vcr(engine, 1, "pause", 30.0)
-        vcr(engine, 2, "pause", 30.0)
-        assert engine.stats.degraded_sessions == 0
-        assert engine.account.held_for(StreamPurpose.VCR) == 2

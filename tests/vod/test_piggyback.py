@@ -7,12 +7,11 @@ import math
 import pytest
 
 from repro.core.parameters import SystemConfiguration
-from repro.exceptions import ConfigurationError
 from repro.sim.engine import Environment
 from repro.sim.metrics import MetricsRegistry
 from repro.vod.movie import Movie
 from repro.vod.partitioning import MovieService
-from repro.vod.piggyback import MergePlan, PiggybackPolicy
+from repro.vod.piggyback import RATE_TOLERANCE, MergePlan, PiggybackPolicy
 from repro.vod.streams import StreamPool
 
 
@@ -24,26 +23,27 @@ def config():
 
 class TestPlanFromGaps:
     def test_forward_merge_time(self):
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         plan = policy.plan_from_gaps(gap_ahead=2.0, gap_behind=None, minutes_to_end=100.0)
+        assert RATE_TOLERANCE == 0.05
         assert plan.direction == "forward"
         assert plan.wall_minutes == pytest.approx(2.0 / 0.05)
         assert plan.merges
 
     def test_backward_when_cheaper(self):
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         plan = policy.plan_from_gaps(gap_ahead=10.0, gap_behind=1.0, minutes_to_end=100.0)
         assert plan.direction == "backward"
         assert plan.wall_minutes == pytest.approx(20.0)
 
     def test_unreachable_runs_to_end(self):
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         plan = policy.plan_from_gaps(gap_ahead=None, gap_behind=None, minutes_to_end=30.0)
         assert not plan.merges
         assert plan.hold_minutes == pytest.approx(30.0)
 
     def test_deadline_disqualifies_late_merge(self):
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         # Merge would need 200 min but the movie ends in ~10.
         plan = policy.plan_from_gaps(gap_ahead=10.0, gap_behind=None, minutes_to_end=10.0)
         assert not plan.merges
@@ -77,7 +77,7 @@ class TestPlanAgainstLattice:
         window; at 5% drift the merge needs ~100 wall minutes - longer than
         the remaining session, so the stream stays pinned.  This is exactly
         the paper's argument for keeping gaps (waits) small."""
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         _, _, plan = live_plan(config, 100.0, 85.0, policy)
         assert not plan.merges
         assert plan.hold_minutes == pytest.approx(35.0)
@@ -85,7 +85,7 @@ class TestPlanAgainstLattice:
     def test_narrow_gap_merges(self):
         # l=120, n=30 -> spacing 4; B=90 -> span 3; gaps are 1 minute wide.
         config = SystemConfiguration(120.0, 30, 90.0)
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         # Position 44.5 at t=100 sits mid-gap (44, 45).
         _, _, plan = live_plan(config, 100.0, 44.5, policy)
         assert plan.direction == "forward"
@@ -96,7 +96,7 @@ class TestPlanAgainstLattice:
         """Simulate the drift: after wall_minutes at (1+eps), a live
         partition covers the viewer."""
         config = SystemConfiguration(120.0, 30, 90.0)
-        policy = PiggybackPolicy(rate_tolerance=0.05)
+        policy = PiggybackPolicy()
         now, position = 100.0, 44.5
         env, service, plan = live_plan(config, now, position, policy)
         assert plan.direction == "forward"
@@ -107,12 +107,6 @@ class TestPlanAgainstLattice:
 
 
 class TestValidation:
-    def test_tolerance_range(self):
-        with pytest.raises(ConfigurationError):
-            PiggybackPolicy(rate_tolerance=0.0)
-        with pytest.raises(ConfigurationError):
-            PiggybackPolicy(rate_tolerance=1.0)
-
     def test_merge_plan_hold(self):
         plan = MergePlan(direction="forward", wall_minutes=5.0, minutes_to_end=30.0)
         assert plan.hold_minutes == 5.0

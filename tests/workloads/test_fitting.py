@@ -18,7 +18,12 @@ from repro.distributions import (
 from repro.exceptions import ConfigurationError
 from repro.vod.vcr import VCRBehavior
 from repro.workloads.analysis import analyze_trace
-from repro.workloads.fitting import fit_behavior, fit_duration_distribution, ks_distance
+from repro.workloads.fitting import (
+    FALLBACK_MEAN,
+    fit_behavior,
+    fit_duration_distribution,
+    ks_distance,
+)
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -213,10 +218,11 @@ class TestFitBehavior:
             seed=4,
         )
         trace = generator.generate(600.0)
-        fitted = fit_behavior(trace, fallback_mean=3.0)
+        fitted = fit_behavior(trace)
         assert fitted.sample_counts[VCROperation.FAST_FORWARD] == 0
         assert math.isnan(fitted.ks_by_operation[VCROperation.FAST_FORWARD])
-        assert fitted.behavior.durations[VCROperation.FAST_FORWARD].mean == 3.0
+        assert FALLBACK_MEAN == 5.0
+        assert fitted.behavior.durations[VCROperation.FAST_FORWARD].mean == FALLBACK_MEAN
 
     def test_empty_trace_rejected(self):
         from repro.workloads.events import Trace

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -1086,8 +1087,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if args.max_in_flight < 1:
             raise ReproError(f"--max-in-flight must be >= 1, got {args.max_in_flight}")
-        if args.duration is not None and args.duration <= 0.0:
-            raise ReproError(f"--duration must be positive, got {args.duration}")
+        if args.duration is not None and not (
+            math.isfinite(args.duration) and args.duration > 0.0
+        ):
+            raise ReproError(f"--duration must be finite and positive, got {args.duration}")
     except ReproError as exc:
         print(f"invalid service configuration: {exc}", file=sys.stderr)
         return 2

@@ -221,11 +221,7 @@ def p_end(config: SystemConfiguration, duration: DurationDistribution) -> float:
     return integral / length
 
 
-def p_hit_fastforward(
-    config: SystemConfiguration,
-    duration: DurationDistribution,
-    include_end_hit: bool = True,
-) -> float:
+def p_hit_fastforward(config: SystemConfiguration, duration: DurationDistribution) -> float:
     """Eq. (21): ``P(hit|FF) = P(hit_w|FF) + Σ_i P(hit_j^i|FF) + P(end)``."""
     alpha = ff_catchup_factor(config.rates)
     total = p_hit_within(config, duration)
@@ -236,15 +232,13 @@ def p_hit_fastforward(
             break
         total += p_hit_jump(config, duration, i)
         i += 1
-    if include_end_hit:
-        total += p_end(config, duration)
+    total += p_end(config, duration)
     return min(1.0, max(0.0, total))
 
 
 def p_hit_fastforward_direct(
     config: SystemConfiguration,
     duration: DurationDistribution,
-    include_end_hit: bool = True,
     num_nodes: int = 32,
 ) -> float:
     """Brute-force 2-D quadrature over ``(V_c, d)`` of the conditional hit mass.
@@ -258,10 +252,8 @@ def p_hit_fastforward_direct(
     def over_vc(d: float) -> float:
         def mass(v_c: float) -> float:
             value = fastforward_hit_intervals(config, v_c, d).measure_under(duration.cdf)
-            if include_end_hit:
-                end = fastforward_end_interval(config, v_c)
-                value += duration.probability(end.lo, end.hi)
-            return value
+            end = fastforward_end_interval(config, v_c)
+            return value + duration.probability(end.lo, end.hi)
 
         return gauss_legendre(mass, 0.0, length, num_nodes=num_nodes) / length
 

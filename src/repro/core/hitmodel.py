@@ -134,12 +134,13 @@ class HitProbabilityModel:
         ``(0.2, 0.2, 0.6)``.
     rates:
         Playback/FF/RW rates; default 1/3/3 per the paper.
-    include_end_hit:
-        Whether fast-forwarding past the end of the movie counts as a
-        release event (Eq. 21 includes it; set False to reproduce the
-        "pure batching has hit probability zero" reading of Section 3.1).
-    num_offset_nodes:
-        Quadrature nodes for the in-partition-offset integral.
+
+    Fast-forwarding past the end of the movie always counts as a release
+    event, as Eq. (21) has it, so FF under pure batching still hits with
+    ``P(end)``.  The in-partition-offset integral uses
+    :data:`~repro.core.hitsets.DEFAULT_OFFSET_NODES` (32) Gauss–Legendre
+    nodes, over a :class:`~repro.core.hitsets.CdfTransform` grid of
+    :data:`~repro.core.hitsets.DEFAULT_GRID_POINTS` (4097) points.
     """
 
     def __init__(
@@ -148,16 +149,12 @@ class HitProbabilityModel:
         durations: DurationDistribution | dict[VCROperation, DurationDistribution],
         mix: VCRMix | None = None,
         rates: VCRRates | None = None,
-        include_end_hit: bool = True,
-        num_offset_nodes: int = 32,
     ) -> None:
         if movie_length <= 0:
             raise ConfigurationError(f"movie_length must be positive, got {movie_length}")
         self._movie_length = float(movie_length)
         self._rates = rates or VCRRates.paper_default()
         self._mix = mix or VCRMix.paper_figure7d()
-        self._include_end_hit = include_end_hit
-        self._num_offset_nodes = num_offset_nodes
         if isinstance(durations, DurationDistribution):
             durations = {op: durations for op in VCROperation}
         missing = [op for op in VCROperation if op not in durations]
@@ -236,8 +233,6 @@ class HitProbabilityModel:
             operation,
             configs,
             self._durations[operation],
-            include_end_hit=self._include_end_hit,
-            num_offset_nodes=self._num_offset_nodes,
             transform=self._transforms[operation],
         )
 
@@ -281,24 +276,6 @@ class HitProbabilityModel:
             )
             for i, config in enumerate(configs)
         ]
-
-    def hit_curve(
-        self, partition_counts, max_wait: float
-    ) -> list[tuple[SystemConfiguration, float]]:
-        """``P(hit)`` along the Eq.-(2) constraint ``B = l − n·w``.
-
-        This is the family of points the paper plots in Figure 7: sweep ``n``
-        at a fixed maximum wait ``w``; the buffer follows from Eq. (2).
-        Partition counts for which ``n·w > l`` are skipped.  The whole curve
-        is one batched evaluation.
-        """
-        configs: list[SystemConfiguration] = []
-        for n in partition_counts:
-            buffer_minutes = self._movie_length - n * max_wait
-            if buffer_minutes < 0.0:
-                continue
-            configs.append(self.configuration(int(n), buffer_minutes))
-        return list(zip(configs, self.hit_probability_batch(configs)))
 
     def _check_config(self, config: SystemConfiguration) -> None:
         if not math.isclose(config.movie_length, self._movie_length, rel_tol=0, abs_tol=1e-9):

@@ -191,15 +191,13 @@ def hit_probability_at(
     duration: DurationDistribution,
     v_c: float,
     offset_d: float,
-    include_end_hit: bool = True,
 ) -> float:
     """Hit probability conditioned on the full viewer state ``(V_c, d)``.
 
-    For FF the end-of-movie release event (Eq. 20) is included unless
-    ``include_end_hit`` is False.
+    For FF the end-of-movie release event (Eq. 20) counts as a hit.
     """
     mass = hit_intervals(operation, config, v_c, offset_d).measure_under(duration.cdf)
-    if include_end_hit and operation is VCROperation.FAST_FORWARD:
+    if operation is VCROperation.FAST_FORWARD:
         end = fastforward_end_interval(config, v_c)
         mass += duration.probability(end.lo, end.hi)
     return min(1.0, max(0.0, mass))
@@ -227,17 +225,10 @@ class CdfTransform:
         "_g_total",
     )
 
-    def __init__(
-        self,
-        duration: DurationDistribution,
-        movie_length: float,
-        grid_points: int = DEFAULT_GRID_POINTS,
-    ) -> None:
-        if grid_points < 3:
-            raise ConfigurationError(f"grid_points must be >= 3, got {grid_points}")
+    def __init__(self, duration: DurationDistribution, movie_length: float) -> None:
         self._duration = duration
         self._length = float(movie_length)
-        self._xs = np.linspace(0.0, self._length, grid_points)
+        self._xs = np.linspace(0.0, self._length, DEFAULT_GRID_POINTS)
         self._fs = duration.cdf_batch(self._xs)
         # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.  Only G needs the
         # grid; F is evaluated exactly so point masses are not smeared.
@@ -386,13 +377,11 @@ def _sum_pause(transform: CdfTransform, config: SystemConfiguration, d: float) -
     return total
 
 
-def _offset_average(
-    func: Callable[[float], float], span: float, num_nodes: int
-) -> float:
+def _offset_average(func: Callable[[float], float], span: float) -> float:
     """Average of ``func(d)`` over ``d ~ U[0, span]`` by Gauss–Legendre."""
     if span <= 0.0:
         return func(0.0)
-    nodes, weights = _gl_nodes(num_nodes)
+    nodes, weights = _gl_nodes(DEFAULT_OFFSET_NODES)
     half = 0.5 * span
     total = 0.0
     for node, weight in zip(nodes, weights):
@@ -415,11 +404,13 @@ def hit_probability(
     config: SystemConfiguration,
     duration: DurationDistribution,
     *,
-    include_end_hit: bool = True,
-    num_offset_nodes: int = DEFAULT_OFFSET_NODES,
     transform: CdfTransform | None = None,
 ) -> float:
     """Unconditioned ``P(hit | operation)`` — Eq. (21) and its RW/PAU analogues.
+
+    Fast-forwarding past the end of the movie counts as a release event: the
+    FF value includes Eq. (21)'s ``P(end)`` term.  The in-partition-offset
+    integral uses :data:`DEFAULT_OFFSET_NODES` Gauss–Legendre nodes.
 
     Parameters
     ----------
@@ -432,11 +423,6 @@ def hit_probability(
         ``[0, l]``; pass a truncated distribution for exact conformance
         (:class:`~repro.core.hitmodel.HitProbabilityModel` does this
         automatically).
-    include_end_hit:
-        Count fast-forwarding past the end of the movie as a release event
-        (the paper's Eq. (21) includes the ``P(end)`` term).
-    num_offset_nodes:
-        Gauss–Legendre nodes for the in-partition-offset integral.
     transform:
         Optional precomputed :class:`CdfTransform` (reused across calls by
         the model object).
@@ -445,17 +431,16 @@ def hit_probability(
     length = config.movie_length
     if operation is VCROperation.FAST_FORWARD:
         value = _offset_average(
-            lambda d: _sum_ff(transform, config, d), config.partition_span, num_offset_nodes
+            lambda d: _sum_ff(transform, config, d), config.partition_span
         ) / length
-        if include_end_hit:
-            value += transform.end_mass() / length
+        value += transform.end_mass() / length
     elif operation is VCROperation.REWIND:
         value = _offset_average(
-            lambda d: _sum_rw(transform, config, d), config.partition_span, num_offset_nodes
+            lambda d: _sum_rw(transform, config, d), config.partition_span
         ) / length
     elif operation is VCROperation.PAUSE:
         value = _offset_average(
-            lambda d: _sum_pause(transform, config, d), config.partition_span, num_offset_nodes
+            lambda d: _sum_pause(transform, config, d), config.partition_span
         )
     else:  # pragma: no cover - enum is closed
         raise ConfigurationError(f"unknown VCR operation {operation!r}")
@@ -472,7 +457,7 @@ def hit_probability(
 # configuration in exactly the order the scalar loops use — so the results
 # are byte-identical to hit_probability(), which stays as the oracle.
 # ----------------------------------------------------------------------
-def _offset_nodes(span: float, num_nodes: int) -> tuple[list[float], tuple[float, ...] | None]:
+def _offset_nodes(span: float) -> tuple[list[float], tuple[float, ...] | None]:
     """The offset-integral abscissae of ``_offset_average`` for one config.
 
     Returns ``(ds, weights)``; ``weights is None`` reproduces the degenerate
@@ -480,7 +465,7 @@ def _offset_nodes(span: float, num_nodes: int) -> tuple[list[float], tuple[float
     """
     if span <= 0.0:
         return [0.0], None
-    nodes, weights = gauss_legendre_nodes(num_nodes)
+    nodes, weights = gauss_legendre_nodes(DEFAULT_OFFSET_NODES)
     half = 0.5 * span
     return [half * (node + 1.0) for node in nodes], weights
 
@@ -558,8 +543,6 @@ def hit_probability_batch(
     configs: Sequence[SystemConfiguration],
     duration: DurationDistribution,
     *,
-    include_end_hit: bool = True,
-    num_offset_nodes: int = DEFAULT_OFFSET_NODES,
     transform: CdfTransform | None = None,
 ) -> list[float]:
     """Batched :func:`hit_probability` over many configurations.
@@ -588,7 +571,7 @@ def hit_probability_batch(
     hi_parts: list[np.ndarray] = []
     lo_parts: list[np.ndarray] = []
     for config in configs:
-        ds, weights = _offset_nodes(config.partition_span, num_offset_nodes)
+        ds, weights = _offset_nodes(config.partition_span)
         if is_ff:
             leads, his, los, counts = _ff_args(config, ds)
             lead_parts.append(leads)
@@ -634,7 +617,7 @@ def hit_probability_batch(
                 total += weight * node_sum
             avg = 0.5 * total
         value = avg if is_pause else avg / length
-        if include_end_hit and is_ff:
+        if is_ff:
             value += end_term / length
         out.append(float(min(1.0, max(0.0, value))))
     return out

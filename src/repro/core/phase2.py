@@ -14,6 +14,10 @@ can price misses without simulation:
   distance to the nearer window edge is ``min(u, w − u)``, ``u ~ U[0, w]``.
 * Piggybacking closes that distance at ``epsilon * R_PB`` movie-minutes per
   wall minute, giving an uncapped mean hold of ``w / (4 epsilon R_PB)``.
+  The paper prices phase 2 with one display-rate tolerance, the classic
+  ±5% viewers accept: ``epsilon`` is :data:`RATE_TOLERANCE` (0.05), the
+  one constant the analytic model here and the simulated piggyback policy
+  of :mod:`repro.vod.piggyback` share.
 * The merge must finish before the session does; with the resume position
   approximately uniform over the movie, the cap is ``(l − V)/R_PB``,
   ``V ~ U[0, l]``.
@@ -34,21 +38,21 @@ from repro.core.parameters import SystemConfiguration
 from repro.exceptions import ConfigurationError
 from repro.numerics.quadrature import gauss_legendre
 
-__all__ = ["Phase2Model"]
+__all__ = ["RATE_TOLERANCE", "Phase2Model"]
+
+#: The display-rate deviation epsilon a drifting viewer tolerates.
+RATE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
 class Phase2Model:
-    """Hold-time statistics for miss-resumed viewers under piggybacking."""
+    """Hold-time statistics for miss-resumed viewers under piggybacking.
+
+    Viewers drift at the :data:`RATE_TOLERANCE` (0.05) display-rate
+    deviation.
+    """
 
     config: SystemConfiguration
-    rate_tolerance: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate_tolerance < 1.0:
-            raise ConfigurationError(
-                f"rate tolerance must be in (0, 1), got {self.rate_tolerance}"
-            )
 
     # ------------------------------------------------------------------
     # Geometry helpers.
@@ -61,7 +65,7 @@ class Phase2Model:
     @property
     def drift_speed(self) -> float:
         """Movie-minutes of lag closed per wall minute: ``epsilon * R_PB``."""
-        return self.rate_tolerance * self.config.rates.playback
+        return RATE_TOLERANCE * self.config.rates.playback
 
     def merge_time_from_offset(self, offset: float) -> float:
         """Wall minutes to merge from ``offset`` into the gap (uncapped).
@@ -143,7 +147,7 @@ class Phase2Model:
     def describe(self) -> str:
         """Single-line human-readable summary."""
         return (
-            f"Phase2Model(gap={self.gap_width:g} min, eps={self.rate_tolerance:g}, "
+            f"Phase2Model(gap={self.gap_width:g} min, eps={RATE_TOLERANCE:g}, "
             f"E[hold]={self.mean_hold():.2f} min, "
             f"P(merge)={self.merge_probability():.3f})"
         )

@@ -79,9 +79,10 @@ class SLOConfig:
     min_samples: int = 10
 
     def __post_init__(self) -> None:
-        if self.latency_threshold_seconds <= 0.0:
+        if not (math.isfinite(self.latency_threshold_seconds)
+                and self.latency_threshold_seconds > 0.0):
             raise ConfigurationError(
-                f"latency_threshold_seconds must be > 0, "
+                f"latency_threshold_seconds must be finite and > 0, "
                 f"got {self.latency_threshold_seconds}"
             )
         if self.min_samples < 1:

@@ -37,7 +37,6 @@ class FrontierTask:
     """One movie's work order for a sweep."""
 
     spec: MovieSizingSpec
-    include_end_hit: bool = True
     #: Extra stream counts to evaluate beyond what ``find_max`` touches.
     stream_counts: tuple[int, ...] = ()
     #: Run :meth:`FeasibleSet.max_streams` (bisection + verification walk).
@@ -75,9 +74,7 @@ def evaluate_frontier(task: FrontierTask) -> MovieFrontier:
     ``P(hit | op)``.
     """
     cache = worker_cache()
-    feasible = cache.feasible_set(
-        task.spec, include_end_hit=task.include_end_hit, points=task.warm_points
-    )
+    feasible = cache.feasible_set(task.spec, points=task.warm_points)
     n_max = feasible.max_streams() if task.find_max else None
     if task.stream_counts:
         # One batched evaluation for the whole requested slice.
@@ -98,11 +95,7 @@ def sweep_frontiers(
     return list(outcome.results), outcome
 
 
-def warm_feasible_set(
-    spec: MovieSizingSpec,
-    frontier: MovieFrontier,
-    include_end_hit: bool = True,
-) -> FeasibleSet:
+def warm_feasible_set(spec: MovieSizingSpec, frontier: MovieFrontier) -> FeasibleSet:
     """A driver-side :class:`FeasibleSet` warm-started from a sweep result.
 
     Queries that touch only swept points (including a :meth:`max_streams`
@@ -110,4 +103,4 @@ def warm_feasible_set(
     anything else lazily builds the model and computes exactly what a cold
     set would, so correctness never depends on sweep coverage.
     """
-    return FeasibleSet(spec, include_end_hit=include_end_hit, points=frontier.points)
+    return FeasibleSet(spec, points=frontier.points)

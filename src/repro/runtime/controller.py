@@ -420,10 +420,7 @@ class CapacityController:
         return specs
 
     def _solve(self, specs: list[MovieSizingSpec]) -> AllocationResult:
-        factory = lambda spec, end_hit: self._cache.feasible_set(  # noqa: E731
-            spec, include_end_hit=end_hit
-        )
-        self._sizer = SystemSizer(specs, feasible_factory=factory)
+        self._sizer = SystemSizer(specs, feasible_factory=self._cache.feasible_set)
         return self._sizer.solve(self.policy.stream_budget).result
 
     def _score(

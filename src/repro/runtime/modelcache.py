@@ -14,9 +14,12 @@ one operation's fit and leaves the others alone.
 :class:`ModelEvaluationCache` therefore keeps two bounded LRU maps:
 
 * **operations**, ``P(hit | op)`` keyed by ``(op, distribution signature,
-  end-hit, offset nodes, l, rates, n, quantised B)``: every model the cache
-  builds resolves its per-operation batches here, so a mix-only change or
-  an unchanged operation costs no kernel evaluation across ticks;
+  l, rates, n, quantised B)``: every model the cache builds resolves its
+  per-operation batches here, so a mix-only change or an unchanged
+  operation costs no kernel evaluation across ticks.  The key needs nothing
+  else because the model has no other input: the Eq.-(20) end hit always
+  counts, and the offset nodes and the CDF grid are the constants of
+  :mod:`repro.core.hitsets`;
 * **transforms**, the ``(truncated duration, CdfTransform)`` pair keyed by
   ``(distribution signature, l)``, so a model built for a new mix reuses
   the expensive construction of its unchanged distributions.
@@ -186,9 +189,7 @@ class _CachedHitModel(HitProbabilityModel):
     module-level kernel :func:`repro.core.hitmodel.hit_probability_batch`.
     """
 
-    def __init__(
-        self, shared: "ModelEvaluationCache", spec: MovieSizingSpec, include_end_hit: bool
-    ) -> None:
+    def __init__(self, shared: "ModelEvaluationCache", spec: MovieSizingSpec) -> None:
         durations = spec.durations
         if isinstance(durations, DurationDistribution):
             durations = dict.fromkeys(VCROperation, durations)
@@ -196,21 +197,9 @@ class _CachedHitModel(HitProbabilityModel):
         self._signatures = {
             id(dist): distribution_signature(dist) for dist in durations.values()
         }
-        super().__init__(
-            spec.length,
-            spec.durations,
-            mix=spec.mix,
-            rates=spec.rates,
-            include_end_hit=include_end_hit,
-        )
+        super().__init__(spec.length, spec.durations, mix=spec.mix, rates=spec.rates)
         self._operation_keys = {
-            op: (
-                op,
-                self._signatures[id(durations[op])],
-                include_end_hit,
-                self._num_offset_nodes,
-            )
-            for op in VCROperation
+            op: (op, self._signatures[id(durations[op])]) for op in VCROperation
         }
 
     def _prepare(self, dist: DurationDistribution) -> tuple[DurationDistribution, CdfTransform]:
@@ -247,26 +236,22 @@ class ModelEvaluationCache:
         self._transforms = LRUCache(_MAX_TRANSFORMS)
         self._operations = LRUCache(_MAX_EVALUATIONS)
 
-    def model_for(
-        self, spec: MovieSizingSpec, include_end_hit: bool = True
-    ) -> HitProbabilityModel:
+    def model_for(self, spec: MovieSizingSpec) -> HitProbabilityModel:
         """A hit model of ``spec`` that resolves its work through this cache.
 
         Each call builds a new model, but its transforms and per-operation
         values come from the shared maps; its values equal
         ``spec.build_model()``'s bit for bit.
         """
-        return _CachedHitModel(self, spec, include_end_hit)
+        return _CachedHitModel(self, spec)
 
-    def feasible_set(
-        self, spec: MovieSizingSpec, include_end_hit: bool = True, points=None
-    ) -> "CachedFeasibleSet":
+    def feasible_set(self, spec: MovieSizingSpec, points=None) -> "CachedFeasibleSet":
         """A :class:`FeasibleSet` whose sweeps route through this cache.
 
         ``points`` warm-starts the per-set frontier cache (e.g. with a
         parallel sweep's already-evaluated :class:`FeasiblePoint` rows).
         """
-        return CachedFeasibleSet(spec, self, include_end_hit=include_end_hit, points=points)
+        return CachedFeasibleSet(spec, self, points=points)
 
     @property
     def evaluation_stats(self) -> CacheStats:
@@ -294,20 +279,14 @@ class CachedFeasibleSet(FeasibleSet):
     """
 
     def __init__(
-        self,
-        spec: MovieSizingSpec,
-        shared_cache: ModelEvaluationCache,
-        include_end_hit: bool = True,
-        points=None,
+        self, spec: MovieSizingSpec, shared_cache: ModelEvaluationCache, points=None
     ) -> None:
-        super().__init__(spec, include_end_hit=include_end_hit, points=points)
+        super().__init__(spec, points=points)
         self._shared = shared_cache
 
     @property
     def model(self) -> HitProbabilityModel:
         """The hit model, resolved through the shared cache on first use."""
         if self._model is None:
-            self._model = self._shared.model_for(
-                self.spec, include_end_hit=self._include_end_hit
-            )
+            self._model = self._shared.model_for(self.spec)
         return self._model

@@ -318,7 +318,11 @@ class AdmissionEngine:
         return snapshot
 
     def restart_wait(self, movie_id: int) -> float:
-        """The restart interval ``w = (l - B) / n`` of a planned movie."""
+        """The maximum wait ``w = (l - B) / n`` of a planned movie.
+
+        ``w`` is the gap between adjacent partitions; the restart interval
+        is ``l / n``.
+        """
         config = self._configs[movie_id]
         return config.max_wait
 

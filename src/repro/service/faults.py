@@ -38,11 +38,17 @@ knob                   effect
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
 __all__ = ["ServiceFaultConfig"]
+
+
+def _positive(value: float) -> bool:
+    """True for a finite value above zero; NaN and infinity fail."""
+    return math.isfinite(value) and value > 0.0
 
 
 @dataclass(frozen=True)
@@ -69,31 +75,34 @@ class ServiceFaultConfig:
                 f"actuation_failures must be >= 0, got {self.actuation_failures}"
             )
         if self.capacity_fault_at is not None:
-            if self.capacity_fault_at < 0.0:
+            if not (math.isfinite(self.capacity_fault_at) and self.capacity_fault_at >= 0.0):
                 raise ConfigurationError(
-                    f"capacity_fault_at must be >= 0, got {self.capacity_fault_at}"
+                    f"capacity_fault_at must be finite and >= 0, got {self.capacity_fault_at}"
                 )
             if not 0.0 < self.capacity_fraction <= 1.0:
                 raise ConfigurationError(
                     f"capacity_fraction must be in (0, 1], got {self.capacity_fraction}"
                 )
-            if self.capacity_recovery is not None and self.capacity_recovery <= 0.0:
+            if self.capacity_recovery is not None and not _positive(self.capacity_recovery):
                 raise ConfigurationError(
-                    f"capacity_recovery must be positive, got {self.capacity_recovery}"
+                    f"capacity_recovery must be finite and positive, "
+                    f"got {self.capacity_recovery}"
                 )
         if self.latency_fault_at is not None:
-            if self.latency_fault_at < 0.0:
+            if not (math.isfinite(self.latency_fault_at) and self.latency_fault_at >= 0.0):
                 raise ConfigurationError(
-                    f"latency_fault_at must be >= 0, got {self.latency_fault_at}"
+                    f"latency_fault_at must be finite and >= 0, got {self.latency_fault_at}"
                 )
-            if self.latency_fault_seconds <= 0.0:
+            if not _positive(self.latency_fault_seconds):
                 raise ConfigurationError(
-                    f"latency_fault_seconds must be positive, "
+                    f"latency_fault_seconds must be finite and positive, "
                     f"got {self.latency_fault_seconds}"
                 )
-            if self.latency_fault_recovery is not None and self.latency_fault_recovery <= 0.0:
+            if self.latency_fault_recovery is not None and not _positive(
+                self.latency_fault_recovery
+            ):
                 raise ConfigurationError(
-                    f"latency_fault_recovery must be positive, "
+                    f"latency_fault_recovery must be finite and positive, "
                     f"got {self.latency_fault_recovery}"
                 )
 

@@ -159,12 +159,10 @@ class HitSimulator:
         durations: DurationDistribution | dict[VCROperation, DurationDistribution],
         mix: VCRMix,
         settings: SimulationSettings | None = None,
-        count_end_as_hit: bool = True,
     ) -> None:
         self._config = config
         self._mix = mix
         self._settings = settings or SimulationSettings()
-        self._count_end_as_hit = count_end_as_hit
         if isinstance(durations, DurationDistribution):
             durations = {op: durations for op in VCROperation}
         self._durations = {
@@ -233,11 +231,12 @@ class HitSimulator:
             if operation is VCROperation.FAST_FORWARD:
                 if duration >= length - position:
                     # Fast-forward reaches the end of the movie: the session
-                    # ends and the phase-1 resources are released (Eq. 20).
+                    # ends and the phase-1 resources are released, a hit as
+                    # in the model's Eq. (21) ``P(end)`` term (Eq. 20).
                     yield env.timeout((length - position) / rates.fast_forward)
                     if env.now >= warm:
                         result.ff_end_releases += 1
-                        result.per_operation[operation].record(self._count_end_as_hit)
+                        result.per_operation[operation].record(True)
                     result.viewers_completed += 1
                     return
                 yield env.timeout(duration / rates.fast_forward)

@@ -31,14 +31,11 @@ def simulate_hit_probability(
     mix: VCRMix,
     settings: SimulationSettings | None = None,
     replications: int = 3,
-    count_end_as_hit: bool = True,
 ) -> HitSimulationResult:
     """Pooled hit-rate estimate over independent replications."""
     if replications < 1:
         raise ConfigurationError(f"need >= 1 replication, got {replications}")
-    simulator = HitSimulator(
-        config, durations, mix, settings=settings, count_end_as_hit=count_end_as_hit
-    )
+    simulator = HitSimulator(config, durations, mix, settings=settings)
     result = simulator.run(replication=0)
     for r in range(1, replications):
         result = result.merge(simulator.run(replication=r))

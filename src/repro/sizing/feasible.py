@@ -7,9 +7,6 @@ pure batching.  Along that line the hit probability is non-increasing in
 ``n`` (less buffer, smaller partitions), so the feasible region for a target
 ``P*`` is a prefix ``n ∈ {1, ..., n_max}``; :meth:`FeasibleSet.max_streams`
 finds ``n_max`` by bisection with a monotonicity-tolerant verification pass.
-
-Figure 8 of the paper plots these sets at 5-minute buffer steps —
-:meth:`FeasibleSet.points_by_buffer_step` reproduces exactly that view.
 """
 
 from __future__ import annotations
@@ -100,15 +97,9 @@ class MovieSizingSpec:
         if not 0.0 <= self.p_star <= 1.0:
             raise ConfigurationError(f"p_star must be in [0, 1], got {self.p_star}")
 
-    def build_model(self, include_end_hit: bool = True) -> HitProbabilityModel:
+    def build_model(self) -> HitProbabilityModel:
         """Instantiate the hit model for this movie's statistics."""
-        return HitProbabilityModel(
-            self.length,
-            self.durations,
-            mix=self.mix,
-            rates=self.rates,
-            include_end_hit=include_end_hit,
-        )
+        return HitProbabilityModel(self.length, self.durations, mix=self.mix, rates=self.rates)
 
     @property
     def pure_batching_streams(self) -> int:
@@ -135,11 +126,9 @@ class FeasibleSet:
     def __init__(
         self,
         spec: MovieSizingSpec,
-        include_end_hit: bool = True,
         points: Iterable[FeasiblePoint] | None = None,
     ) -> None:
         self._spec = spec
-        self._include_end_hit = include_end_hit
         # Built lazily on first use: a set warm-started from a parallel
         # sweep's ``points`` may never need an uncached point, and then the
         # truncation + CDF-transform setup is skipped entirely.
@@ -158,7 +147,7 @@ class FeasibleSet:
     def model(self) -> HitProbabilityModel:
         """The underlying hit-probability model (built on first use)."""
         if self._model is None:
-            self._model = self._spec.build_model(include_end_hit=self._include_end_hit)
+            self._model = self._spec.build_model()
         return self._model
 
     def known_points(self) -> tuple[FeasiblePoint, ...]:
@@ -296,31 +285,6 @@ class FeasibleSet:
     def best_point(self) -> FeasiblePoint:
         """The minimum-buffer feasible point (maximum feasible ``n``)."""
         return self.point(self.max_streams())
-
-    def points_by_buffer_step(self, step_minutes: float = 5.0) -> list[FeasiblePoint]:
-        """Figure-8 view: one point per ``step_minutes`` of buffer.
-
-        Walks ``B = step, 2*step, ...`` up to the movie length, converting
-        each to the Eq.-(2) stream count (rounded to the nearest integer on
-        the line), and keeps the feasible ones.
-        """
-        if step_minutes <= 0:
-            raise ConfigurationError(f"step must be positive, got {step_minutes}")
-        candidates: list[int] = []
-        seen: set[int] = set()
-        buffer_minutes = step_minutes
-        while buffer_minutes < self._spec.length:
-            n = round((self._spec.length - buffer_minutes) / self._spec.max_wait)
-            if 1 <= n <= self.max_possible_streams and n not in seen:
-                seen.add(n)
-                candidates.append(n)
-            buffer_minutes += step_minutes
-        # One batched evaluation covers the whole Figure-8 grid.
-        return [
-            candidate
-            for candidate in self.points_batch(candidates)
-            if candidate.meets(self._spec.p_star)
-        ]
 
     def curve(self, stream_counts: Iterable[int]) -> list[FeasiblePoint]:
         """Evaluate an arbitrary set of stream counts (plot helper)."""

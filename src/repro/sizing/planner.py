@@ -82,7 +82,6 @@ class SystemSizer:
         self,
         specs: Sequence[MovieSizingSpec],
         cost_model: CostModel | None = None,
-        include_end_hit: bool = True,
         feasible_factory=None,
         workers: int | None = 1,
     ) -> None:
@@ -93,13 +92,10 @@ class SystemSizer:
             raise ConfigurationError(f"movie names must be unique, got {names}")
         self._specs = tuple(specs)
         self._cost_model = cost_model or CostModel.from_hardware()
-        self._include_end_hit = include_end_hit
         # feasible_factory lets callers route frontier evaluation through a
-        # shared cache (duck-typed: any (spec, include_end_hit) -> FeasibleSet).
-        self._feasible_factory = feasible_factory or (
-            lambda spec, end_hit: FeasibleSet(spec, include_end_hit=end_hit)
-        )
-        self._feasible = [self._feasible_factory(spec, include_end_hit) for spec in specs]
+        # shared cache (duck-typed: any spec -> FeasibleSet).
+        factory = feasible_factory or FeasibleSet
+        self._feasible = [factory(spec) for spec in specs]
         # Imported lazily: repro.parallel.sweeps imports this package, so a
         # top-level import here would close an import cycle.
         from repro.parallel.executor import resolve_workers
@@ -136,11 +132,7 @@ class SystemSizer:
         if self._workers <= 1:
             return None
         tasks = [
-            FrontierTask(
-                fs.spec,
-                include_end_hit=self._include_end_hit,
-                warm_points=fs.known_points(),
-            )
+            FrontierTask(fs.spec, warm_points=fs.known_points())
             for fs in self._feasible
         ]
         frontiers, outcome = sweep_frontiers(tasks, workers=self._workers)

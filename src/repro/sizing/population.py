@@ -61,7 +61,6 @@ class PopulationModel:
         movie_length: float,
         classes: Sequence[ViewerClass],
         rates: VCRRates | None = None,
-        include_end_hit: bool = True,
     ) -> None:
         if not classes:
             raise ConfigurationError("population needs at least one viewer class")
@@ -79,7 +78,6 @@ class PopulationModel:
                 cls.durations,
                 mix=cls.mix,
                 rates=rates,
-                include_end_hit=include_end_hit,
             )
             for cls in classes
         }
@@ -179,12 +177,7 @@ class PopulationModel:
     # ------------------------------------------------------------------
     # Aggregated reservation sizing.
     # ------------------------------------------------------------------
-    def offered_load(
-        self,
-        config: SystemConfiguration,
-        total_arrival_rate: float,
-        rate_tolerance: float = 0.05,
-    ) -> float:
+    def offered_load(self, config: SystemConfiguration, total_arrival_rate: float) -> float:
         """Summed Erlang load of all classes (Poisson superposition)."""
         if total_arrival_rate <= 0.0:
             raise ConfigurationError(
@@ -198,7 +191,6 @@ class PopulationModel:
                 config,
                 viewer_arrival_rate=share,
                 mean_think_time=cls.mean_think_time,
-                rate_tolerance=rate_tolerance,
             )
             total += load_model.offered_load()
         return total
@@ -208,10 +200,9 @@ class PopulationModel:
         config: SystemConfiguration,
         total_arrival_rate: float,
         blocking_target: float = 0.01,
-        rate_tolerance: float = 0.05,
     ) -> ReservationPlan:
         """Size one shared VCR reserve for the whole population."""
-        load = self.offered_load(config, total_arrival_rate, rate_tolerance)
+        load = self.offered_load(config, total_arrival_rate)
         reserve = min_servers_for_blocking(load, blocking_target)
         return ReservationPlan(
             offered_load=load,

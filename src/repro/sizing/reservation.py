@@ -93,15 +93,14 @@ class VCRLoadModel:
         Session arrivals per minute for this movie.
     mean_think_time:
         Mean minutes of normal playback between a viewer's VCR operations.
-    rate_tolerance:
-        Piggybacking display-rate tolerance (phase-2 drift speed).
+
+    Phase-2 holds drift at :data:`~repro.core.phase2.RATE_TOLERANCE` (0.05).
     """
 
     model: HitProbabilityModel
     config: SystemConfiguration
     viewer_arrival_rate: float
     mean_think_time: float = 15.0
-    rate_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if self.viewer_arrival_rate <= 0.0:
@@ -153,7 +152,7 @@ class VCRLoadModel:
 
     def phase2_model(self) -> Phase2Model:
         """The phase-2 hold model for this configuration."""
-        return Phase2Model(self.config, rate_tolerance=self.rate_tolerance)
+        return Phase2Model(self.config)
 
     def mean_hold_minutes(self) -> float:
         """Mean stream-hold per stream-consuming request (phase 1 + phase 2).

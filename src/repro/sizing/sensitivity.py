@@ -57,10 +57,9 @@ class SensitivityRow:
 class SizingSensitivity:
     """Perturbation analysis around one movie's nominal sizing inputs."""
 
-    def __init__(self, spec: MovieSizingSpec, include_end_hit: bool = True) -> None:
+    def __init__(self, spec: MovieSizingSpec) -> None:
         self._spec = spec
-        self._include_end_hit = include_end_hit
-        self._nominal = FeasibleSet(spec, include_end_hit=include_end_hit)
+        self._nominal = FeasibleSet(spec)
 
     @property
     def spec(self) -> MovieSizingSpec:
@@ -117,7 +116,7 @@ class SizingSensitivity:
         return {op: ScaledDuration(dist, factor) for op, dist in durations.items()}
 
     def _row(self, label: str, perturbed_spec: MovieSizingSpec) -> SensitivityRow:
-        perturbed = FeasibleSet(perturbed_spec, include_end_hit=self._include_end_hit)
+        perturbed = FeasibleSet(perturbed_spec)
         point = perturbed.best_point()
         # Evaluate the perturbed decision under the nominal (true) model.
         config = self._nominal.model.configuration(

@@ -9,7 +9,8 @@ load in a configurable order, least painful first:
    viewers degrade (the VCR op is denied, the resume becomes a miss/stall)
    but their sessions survive.
 2. ``widen_restart`` — reconfigure each movie to one fewer partition
-   (``n-1``), widening the restart interval ``w = (l-B)/n``.  This lowers
+   (``n-1``), widening the restart interval ``l/n`` and the gap between
+   partitions, the maximum wait ``w = (l-B)/n``.  This lowers
    *future* stream demand; streams already live run to their natural end.
 3. ``collapse_partition`` — collapse the coldest partitions (oldest
    restarts, nearest the end of the movie, hence serving the fewest future

@@ -7,7 +7,9 @@ nominal so his position drifts into a partition window, at which point the
 dedicated stream is released (Golubchik, Lui & Muntz 1996).
 
 Display-rate deviations are bounded by what viewers tolerate; the classic
-figure is ±5%, :data:`RATE_TOLERANCE` (0.05).  Given a missed viewer between
+figure is ±5%, :data:`~repro.core.phase2.RATE_TOLERANCE` (0.05), the same
+epsilon the analytic :class:`~repro.core.phase2.Phase2Model` prices holds
+with.  Given a missed viewer between
 two partitions, this policy picks the cheaper drift direction and computes the
 merge time analytically:
 
@@ -26,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RATE_TOLERANCE", "MergePlan", "PiggybackPolicy"]
+from repro.core.phase2 import RATE_TOLERANCE
 
-#: The display-rate deviation epsilon a drifting viewer tolerates.
-RATE_TOLERANCE = 0.05
+__all__ = ["RATE_TOLERANCE", "MergePlan", "PiggybackPolicy"]
 
 
 @dataclass(frozen=True)

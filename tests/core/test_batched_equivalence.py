@@ -47,8 +47,8 @@ from repro.sizing.feasible import FeasiblePoint, FeasibleSet, MovieSizingSpec
 from repro.workloads.fitting import ks_distance
 
 
-def _model(length, dist, mix=None, include_end_hit=True):
-    return HitProbabilityModel(length, dist, mix=mix, include_end_hit=include_end_hit)
+def _model(length, dist, mix=None):
+    return HitProbabilityModel(length, dist, mix=mix)
 
 
 def _grid(model, length, count=7):
@@ -83,9 +83,8 @@ class _Oracle:
     so the oracle loop stays affordable.
     """
 
-    def __init__(self, model, include_end_hit=True):
+    def __init__(self, model):
         self._model = model
-        self._include_end_hit = include_end_hit
         self._transforms = {
             op: CdfTransform(model.duration_of(op), model.movie_length)
             for op in VCROperation
@@ -96,7 +95,6 @@ class _Oracle:
             op,
             config,
             self._model.duration_of(op),
-            include_end_hit=self._include_end_hit,
             transform=self._transforms[op],
         )
 
@@ -141,9 +139,10 @@ class TestBackendsAgreeBitwise:
         oracle = [scalar.breakdown(c).p_hit for c in configs]
         assert model.hit_probability_batch(configs) == oracle
         assert [model.hit_probability(c) for c in configs] == oracle
-        assert [p for _, p in model.hit_curve(range(1, 61, 4), 2.0)] == [
-            scalar.breakdown(model.configuration(n, length - 2.0 * n)).p_hit
-            for n in range(1, 61, 4)
+        # The Figure-7 sweep: n along the Eq.-(2) line B = l − n·w, w = 2.
+        line = [model.configuration(n, length - 2.0 * n) for n in range(1, 61, 4)]
+        assert model.hit_probability_batch(line) == [
+            scalar.breakdown(c).p_hit for c in line
         ]
 
     def test_per_operation_batch_matches_scalar(self):
@@ -157,27 +156,26 @@ class TestBackendsAgreeBitwise:
             assert hit_probability_batch(op, configs, model.duration_of(op)) == oracle
 
     @pytest.mark.parametrize(
-        "n,fraction,include_end_hit",
+        "n,fraction",
         [
-            (1, 0.5, True),       # single partition: spacing = l
-            (1, 1.0, True),       # n_max == 1 with a full buffer
-            (5, 0.0, True),       # B = 0: pure batching, span = 0
-            (5, 0.0, False),      # ... and without the end-hit term
-            (60, 1.0, True),      # dense partitions, maximal span
-            (3, 1e-9, True),      # vanishing buffer: near-empty hit sets
+            (1, 0.5),       # single partition: spacing = l
+            (1, 1.0),       # n_max == 1 with a full buffer
+            (5, 0.0),       # B = 0: pure batching, span = 0
+            (60, 1.0),      # dense partitions, maximal span
+            (3, 1e-9),      # vanishing buffer: near-empty hit sets
         ],
     )
-    def test_degenerate_configurations(self, n, fraction, include_end_hit):
+    def test_degenerate_configurations(self, n, fraction):
         length = 120.0
-        model = _model(length, ExponentialDuration(10.0), include_end_hit=include_end_hit)
+        model = _model(length, ExponentialDuration(10.0))
         config = model.configuration(n, length * fraction)
-        oracle = _Oracle(model, include_end_hit).breakdown(config)
+        oracle = _Oracle(model).breakdown(config)
         assert model.breakdown(config) == oracle
         assert model.breakdown_batch([config]) == [oracle]
         for op in VCROperation:
-            assert hit_probability_batch(
-                op, [config], model.duration_of(op), include_end_hit=include_end_hit
-            ) == [oracle.probability_of(op)]
+            assert hit_probability_batch(op, [config], model.duration_of(op)) == [
+                oracle.probability_of(op)
+            ]
 
     @_number_type
     def test_single_operation_mixes(self, number):
@@ -225,7 +223,9 @@ class TestSizingLayerAgrees:
         assert fs.max_streams() == oracle.max_streams()
         ns = range(1, 40, 3)
         assert fs.curve(ns) == oracle.curve(ns)
-        assert fs.points_by_buffer_step(5.0) == oracle.points_by_buffer_step(5.0)
+        # Figure 8's view: one stream count per 5 minutes of buffer.
+        steps = [round((120.0 - b) / 2.0) for b in range(5, 120, 5)]
+        assert fs.curve(steps) == oracle.curve(steps)
 
     @_number_type
     def test_n_max_one_frontier(self, number):
@@ -350,7 +350,7 @@ class TestInterpolationKernel:
         b=st.floats(0.5, 20.0),
     )
     def test_transform_many_matches_scalar(self, queries, kind, a, b):
-        transform = CdfTransform(truncate(_distribution(kind, a, b), 120.0), 120.0, 257)
+        transform = CdfTransform(truncate(_distribution(kind, a, b), 120.0), 120.0)
         cs = np.asarray(queries, dtype=float)
         assert transform.F_many(cs).tolist() == [transform.F(c) for c in queries]
         assert transform.G_many(cs).tolist() == [transform.G(c) for c in queries]

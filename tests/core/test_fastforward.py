@@ -75,7 +75,6 @@ class TestComponents:
         assert p_hit_fastforward(config, duration) == pytest.approx(
             p_end(config, duration), abs=1e-9
         )
-        assert p_hit_fastforward(config, duration, include_end_hit=False) == 0.0
 
     def test_jump_terms_decrease(self, duration):
         """Farther partitions require longer FF durations: less mass."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hitmodel import HitBreakdown, HitProbabilityModel, VCRMix
+from repro.core.hitsets import end_probability
 from repro.core.parameters import SystemConfiguration, VCRRates
 from repro.core.vcrop import VCROperation
 from repro.distributions import ExponentialDuration, GammaDuration
@@ -95,30 +96,15 @@ class TestHitProbabilityModel:
         assert config.movie_length == 120.0
         assert config.rates == figure7_model.rates
 
-    def test_hit_curve_follows_eq2(self, figure7_model):
-        points = figure7_model.hit_curve([10, 30, 60, 200], max_wait=1.0)
-        # n = 200 would need B < 0: skipped.
-        assert [config.num_partitions for config, _ in points] == [10, 30, 60]
-        for config, p_hit in points:
-            assert config.buffer_minutes == pytest.approx(120.0 - config.num_partitions)
-            assert 0.0 <= p_hit <= 1.0
-        # Less buffer at larger n on a fixed-w line: P(hit) falls.
-        values = [p for _, p in points]
-        assert values == sorted(values, reverse=True)
-
-    def test_include_end_hit_flag(self):
-        with_end = HitProbabilityModel(
+    def test_pure_batching_ff_is_end_probability(self):
+        """Eq. (20): with no buffer, FF hits only by running off the end."""
+        model = HitProbabilityModel(
             120.0, GammaDuration(2.0, 4.0), mix=VCRMix.only(VCROperation.FAST_FORWARD)
         )
-        without_end = HitProbabilityModel(
-            120.0,
-            GammaDuration(2.0, 4.0),
-            mix=VCRMix.only(VCROperation.FAST_FORWARD),
-            include_end_hit=False,
-        )
         config = SystemConfiguration.pure_batching(120.0, 30)
-        assert without_end.hit_probability(config) == 0.0
-        assert with_end.hit_probability(config) > 0.0  # pure P(end)
+        p_end = end_probability(config, model.duration_of(VCROperation.FAST_FORWARD))
+        assert p_end > 0.0
+        assert model.hit_probability(config) == p_end
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConfigurationError):

@@ -152,24 +152,24 @@ class TestHitProbabilityAt:
         dist = UniformDuration(0.0, m)
         union = fastforward_hit_intervals(base_config, 40.0, 2.0)
         expected = union.clip(0.0, m).measure / m
+        # The Eq.-(20) end interval [80, 120] lies past the support [0, 16].
         value = hit_probability_at(
-            VCROperation.FAST_FORWARD, base_config, dist, 40.0, 2.0,
-            include_end_hit=False,
+            VCROperation.FAST_FORWARD, base_config, dist, 40.0, 2.0
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_end_hit_included_for_ff(self, base_config, gamma_duration):
-        near_end = hit_probability_at(
-            VCROperation.FAST_FORWARD, base_config, gamma_duration, 115.0, 0.0
+        """FF adds the Eq.-(20) mass of running past the end to its windows."""
+        ff = VCROperation.FAST_FORWARD
+        near_end = hit_probability_at(ff, base_config, gamma_duration, 115.0, 0.0)
+        windows = hit_intervals(ff, base_config, 115.0, 0.0).measure_under(
+            gamma_duration.cdf
         )
-        without = hit_probability_at(
-            VCROperation.FAST_FORWARD, base_config, gamma_duration, 115.0, 0.0,
-            include_end_hit=False,
-        )
-        assert near_end > without
-        assert near_end == pytest.approx(
-            without + gamma_duration.probability(5.0, 120.0), abs=1e-12
-        )
+        end = fastforward_end_interval(base_config, 115.0)
+        end_mass = gamma_duration.probability(end.lo, end.hi)
+        assert (end.lo, end.hi) == (5.0, 120.0)
+        assert end_mass > 0.0
+        assert near_end == pytest.approx(windows + end_mass, abs=1e-12)
 
     def test_dispatch(self, base_config):
         for op in VCROperation:
@@ -217,10 +217,6 @@ class TestCdfTransform:
         # end_mass = ∫ (1 − F) = E[X] for a variable on [0, l].
         assert transform.end_mass() == pytest.approx(gamma_duration.mean, rel=1e-3)
 
-    def test_rejects_tiny_grid(self, gamma_duration):
-        with pytest.raises(ConfigurationError):
-            CdfTransform(gamma_duration, 120.0, grid_points=2)
-
 
 class TestEndProbability:
     def test_matches_mean_over_length(self, base_config, gamma_duration):
@@ -258,7 +254,7 @@ def test_hit_probability_in_unit_interval(n, fraction, mean):
     config = SystemConfiguration(120.0, n, 120.0 * fraction)
     dist = truncate(ExponentialDuration(mean), 120.0)
     for op in VCROperation:
-        p = hit_probability(op, config, dist, num_offset_nodes=8)
+        p = hit_probability(op, config, dist)
         assert 0.0 <= p <= 1.0
 
 
@@ -286,8 +282,7 @@ class TestEdgeGeometries:
 
     def test_many_tiny_partitions(self, gamma_duration):
         config = SystemConfiguration(120.0, 500, 60.0)
-        p = hit_probability(VCROperation.FAST_FORWARD, config, gamma_duration,
-                            num_offset_nodes=8)
+        p = hit_probability(VCROperation.FAST_FORWARD, config, gamma_duration)
         assert 0.0 <= p <= 1.0
         # Span 0.12 min, spacing 0.24: half of duration space is covered, so
         # the partition-hit mass is near 1/2 plus the end-hit term.

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hitmodel import HitProbabilityModel, VCRMix
-from repro.core.hitsets import hit_probability
+from repro.core.hitsets import end_probability, hit_probability
 from repro.core.parameters import SystemConfiguration, VCRRates
 from repro.core.vcrop import VCROperation
 from repro.distributions import ExponentialDuration, GammaDuration, truncate
@@ -36,10 +36,8 @@ def test_more_buffer_never_hurts(n, b1, extra, mean):
     b2 = min(LENGTH, b1 + extra)
     dist = truncate(ExponentialDuration(mean), LENGTH)
     for op in VCROperation:
-        p1 = hit_probability(op, SystemConfiguration(LENGTH, n, b1), dist,
-                             num_offset_nodes=16)
-        p2 = hit_probability(op, SystemConfiguration(LENGTH, n, b2), dist,
-                             num_offset_nodes=16)
+        p1 = hit_probability(op, SystemConfiguration(LENGTH, n, b1), dist)
+        p2 = hit_probability(op, SystemConfiguration(LENGTH, n, b2), dist)
         assert p2 >= p1 - 2e-3
 
 
@@ -49,8 +47,9 @@ def test_pure_batching_has_no_partition_hits(n, mean):
     config = SystemConfiguration.pure_batching(LENGTH, n)
     dist = truncate(ExponentialDuration(mean), LENGTH)
     for op in VCROperation:
-        p = hit_probability(op, config, dist, include_end_hit=False)
-        assert p == pytest.approx(0.0, abs=1e-12)
+        # FF keeps only the Eq.-(20) end release; RW and PAU never hit.
+        expected = end_probability(config, dist) if op is VCROperation.FAST_FORWARD else 0.0
+        assert hit_probability(op, config, dist) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -138,6 +137,6 @@ def test_rates_matter_only_through_catchup_factors(n, fraction, speedup, scale):
         rates=VCRRates(scale, speedup * scale, speedup * scale),
     )
     for op in (VCROperation.FAST_FORWARD, VCROperation.REWIND):
-        p_base = hit_probability(op, base, dist, num_offset_nodes=16)
-        p_scaled = hit_probability(op, scaled, dist, num_offset_nodes=16)
+        p_base = hit_probability(op, base, dist)
+        p_scaled = hit_probability(op, scaled, dist)
         assert p_scaled == pytest.approx(p_base, abs=1e-9)

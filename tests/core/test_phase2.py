@@ -13,8 +13,8 @@ from repro.exceptions import ConfigurationError
 
 @pytest.fixture
 def model(base_config):
-    # l=120, n=30, B=90: gap 1; eps=0.05.
-    return Phase2Model(base_config, rate_tolerance=0.05)
+    # l=120, n=30, B=90: gap 1; eps=RATE_TOLERANCE=0.05.
+    return Phase2Model(base_config)
 
 
 class TestGeometry:
@@ -50,7 +50,7 @@ class TestHoldStatistics:
         # gap 20 -> mean merge needs ~100 wall minutes against a mean
         # remaining session of 60: most holds run to the end of the movie.
         config = SystemConfiguration(120.0, 4, 40.0)
-        model = Phase2Model(config, rate_tolerance=0.05)
+        model = Phase2Model(config)
         assert model.merge_probability() < 0.5
         assert model.mean_hold() < model.mean_hold_uncapped()
 
@@ -66,11 +66,6 @@ class TestHoldStatistics:
         assert model.mean_hold() == 0.0
         assert model.merge_probability() == 1.0
 
-    def test_tighter_tolerance_longer_holds(self, base_config):
-        tight = Phase2Model(base_config, rate_tolerance=0.02)
-        loose = Phase2Model(base_config, rate_tolerance=0.10)
-        assert tight.mean_hold() > loose.mean_hold()
-
 
 class TestLittlesLaw:
     def test_expected_pinned_streams(self, model):
@@ -84,12 +79,6 @@ class TestLittlesLaw:
 
 
 class TestValidation:
-    def test_tolerance_range(self, base_config):
-        with pytest.raises(ConfigurationError):
-            Phase2Model(base_config, rate_tolerance=0.0)
-        with pytest.raises(ConfigurationError):
-            Phase2Model(base_config, rate_tolerance=1.0)
-
     def test_describe(self, model):
         text = model.describe()
         assert "E[hold]" in text and "P(merge)" in text
@@ -99,11 +88,10 @@ class TestValidation:
 @given(
     n=st.integers(1, 80),
     fraction=st.floats(0.0, 1.0),
-    eps=st.floats(0.01, 0.5),
 )
-def test_invariants(n, fraction, eps):
+def test_invariants(n, fraction):
     config = SystemConfiguration(120.0, n, 120.0 * fraction)
-    model = Phase2Model(config, rate_tolerance=eps)
+    model = Phase2Model(config)
     hold = model.mean_hold()
     merge = model.merge_probability()
     assert 0.0 <= merge <= 1.0

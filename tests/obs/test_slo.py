@@ -42,6 +42,8 @@ class TestSLOConfig:
         {"latency_threshold_seconds": 0.0},
         {"latency_threshold_seconds": -1.0},
         {"min_samples": 0},
+        {"latency_threshold_seconds": float("nan")},
+        {"latency_threshold_seconds": float("inf")},
     ])
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ConfigurationError):

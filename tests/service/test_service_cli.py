@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -50,6 +52,20 @@ class TestConfigErrorsExitTwo:
 
     def test_serve_bad_fault_schedule(self, capsys):
         assert main(["serve", "--fault-drop-every", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--slo-p99", "nan"],
+        ["--slo-p99", "inf"],
+        ["--duration", "nan"],
+        ["--fault-capacity-at", "nan"],
+        ["--fault-capacity-at", "1", "--fault-capacity-recovery", "nan"],
+        ["--fault-latency-at", "nan"],
+        ["--fault-latency-at", "1", "--fault-latency-seconds", "nan"],
+        ["--fault-latency-at", "1", "--fault-latency-recovery", "nan"],
+    ], ids=" ".join)
+    def test_serve_non_finite_setting(self, argv, capsys):
+        assert main(["serve", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_loadgen_bad_arrival_rate(self, capsys):
         assert main(["loadgen", "--mode", "virtual", "--arrival-rate", "0"]) == 2

@@ -126,27 +126,19 @@ class TestSimulatorRuns:
         assert pause.trials > 50
         assert pause.rate < 0.02  # measure-zero windows
 
-    def test_end_hit_accounting_flag(self):
-        sim_with = HitSimulator(
-            CONFIG, GammaDuration(2.0, 4.0),
-            VCRMix.only(VCROperation.FAST_FORWARD), settings=SHORT,
-            count_end_as_hit=True,
+    def test_pure_batching_ff_hits_are_end_releases(self):
+        """Eq. (20): with no buffer, every FF success is a movie-end release."""
+        simulator = HitSimulator(
+            SystemConfiguration.pure_batching(120.0, 30),
+            GammaDuration(2.0, 4.0),
+            VCRMix.only(VCROperation.FAST_FORWARD),
+            settings=SHORT,
         )
-        sim_without = HitSimulator(
-            CONFIG, GammaDuration(2.0, 4.0),
-            VCRMix.only(VCROperation.FAST_FORWARD), settings=SHORT,
-            count_end_as_hit=False,
-        )
-        with_end = sim_with.run()
-        without_end = sim_without.run()
-        # Identical randomness: same trials, fewer successes when end
-        # releases are not counted as hits.
-        assert with_end.overall.trials == without_end.overall.trials
-        assert with_end.ff_end_releases == without_end.ff_end_releases
-        assert (
-            with_end.overall.successes - without_end.overall.successes
-            == with_end.ff_end_releases
-        )
+        result = simulator.run()
+        ff = result.per_operation[VCROperation.FAST_FORWARD]
+        assert result.ff_end_releases > 0
+        assert ff.trials > result.ff_end_releases
+        assert ff.successes == result.ff_end_releases
 
     def test_viewer_types_recorded(self):
         simulator = HitSimulator(

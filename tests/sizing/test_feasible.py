@@ -97,31 +97,6 @@ class TestMaxStreams:
         assert best.meets(0.5)
 
 
-class TestBufferSteps:
-    def test_figure8_style_steps(self, feasible):
-        points = feasible.points_by_buffer_step(5.0)
-        assert points, "expected a non-empty feasible set"
-        for point in points:
-            assert point.hit_probability >= 0.5 - 1e-12
-            # Buffer values land on the Eq.-(2) line.
-            assert point.buffer_minutes == pytest.approx(
-                60.0 - point.num_streams * 0.5
-            )
-        buffers = [p.buffer_minutes for p in points]
-        assert len(set(round(b, 6) for b in buffers)) == len(buffers)
-
-    def test_min_feasible_buffer_consistent_with_max_streams(self, feasible):
-        points = feasible.points_by_buffer_step(5.0)
-        smallest_buffer = min(p.buffer_minutes for p in points)
-        # The frontier boundary cannot need more buffer than the smallest
-        # feasible 5-minute step.
-        assert feasible.best_point().buffer_minutes <= smallest_buffer + 1e-9
-
-    def test_rejects_bad_step(self, feasible):
-        with pytest.raises(ConfigurationError):
-            feasible.points_by_buffer_step(0.0)
-
-
 def test_gamma_movie1_matches_paper():
     """Movie 1 of Example 1: paper picks (39, 360); our frontier is within
     a few percent (the exact VCR mix is unstated in the paper)."""

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _NODES = 48
+#: Gauss–Legendre nodes per axis of :func:`p_hit_fastforward_direct`.
+_DIRECT_NODES = 32
 
 
 def _cdf(duration: DurationDistribution):
@@ -237,14 +239,13 @@ def p_hit_fastforward(config: SystemConfiguration, duration: DurationDistributio
 
 
 def p_hit_fastforward_direct(
-    config: SystemConfiguration,
-    duration: DurationDistribution,
-    num_nodes: int = 32,
+    config: SystemConfiguration, duration: DurationDistribution
 ) -> float:
     """Brute-force 2-D quadrature over ``(V_c, d)`` of the conditional hit mass.
 
     A third independent evaluation path, used by the property tests to pin
-    down both the paper transcription and the interval engine.
+    down both the paper transcription and the interval engine.  It reads
+    the exact ``duration.cdf``, never the engine's interpolated ``F``.
     """
     span = config.partition_span
     length = config.movie_length
@@ -255,9 +256,9 @@ def p_hit_fastforward_direct(
             end = fastforward_end_interval(config, v_c)
             return value + duration.probability(end.lo, end.hi)
 
-        return gauss_legendre(mass, 0.0, length, num_nodes=num_nodes) / length
+        return gauss_legendre(mass, 0.0, length, num_nodes=_DIRECT_NODES) / length
 
     if span == 0.0:
         return min(1.0, max(0.0, over_vc(0.0)))
-    outer = gauss_legendre(over_vc, 0.0, span, num_nodes=num_nodes) / span
+    outer = gauss_legendre(over_vc, 0.0, span, num_nodes=_DIRECT_NODES) / span
     return min(1.0, max(0.0, outer))

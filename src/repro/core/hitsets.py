@@ -64,6 +64,7 @@ __all__ = [
     "end_probability",
     "DEFAULT_OFFSET_NODES",
     "DEFAULT_GRID_POINTS",
+    "HERMITE_TOLERANCE",
 ]
 
 #: Gauss–Legendre nodes for the in-partition-offset integral.
@@ -206,14 +207,45 @@ def hit_probability_at(
 # ----------------------------------------------------------------------
 # CDF transform: F, G = ∫F, and H(c) = ∫_0^l F(min(c, u)) du.
 # ----------------------------------------------------------------------
+#: Largest error against the exact CDF, over the grid's cell midpoints, at
+#: which a transform evaluates ``F`` by its cubic Hermite interpolant.
+HERMITE_TOLERANCE = 1e-10
+
+
+def _hermite(cs, xs: np.ndarray, coeffs: tuple[np.ndarray, ...]):
+    """The cubic Hermite interpolant at ``cs`` (one float or an ndarray).
+
+    ``coeffs`` holds, per grid cell, the power-form coefficients in the
+    offset from the cell's left node.  The cell search compares, and the
+    rest is exactly-rounded ``+ − ×``, so a float argument and the same
+    value inside an array give the same bits on every CPU.
+    """
+    f0, d1, d2, d3 = coeffs
+    cells = np.searchsorted(xs, cs, side="right") - 1
+    s = cs - xs[cells]
+    return f0[cells] + s * (d1[cells] + s * (d2[cells] + s * d3[cells]))
+
+
 class CdfTransform:
     """Precomputed grid evaluation of ``F``, ``G = ∫_0^c F`` and ``H``.
 
-    Built once per (distribution, movie length) pair; every subsequent query
-    is an O(log grid) interpolation.  The grid's CDF values come from one
-    ``cdf_batch`` call, which every family keeps bit-for-bit equal to its
-    scalar ``cdf``.  ``H`` is the closed-form kernel of the
-    ``V_c``-unconditioning described in the module docstring.
+    Built once per (distribution, movie length) pair.  The grid's CDF
+    values come from one ``cdf_batch`` call, which every family keeps
+    bit-for-bit equal to its scalar ``cdf``; ``G`` is their cumulative
+    trapezoid.  ``H`` is the closed-form kernel of the ``V_c``-
+    unconditioning described in the module docstring.
+
+    ``F`` is the cubic Hermite interpolant of the grid CDF and the grid
+    density (``pdf_batch``) when that interpolant is certified at
+    construction: every grid density is finite and the interpolant is
+    within :data:`HERMITE_TOLERANCE` of the exact ``cdf_batch`` at every
+    cell midpoint, where a cubic Hermite's error peaks.  Otherwise — a
+    kink or a point mass inside the grid (empirical, deterministic,
+    uniform edges, truncation below ``l``) or an infinite density (gamma
+    or Weibull shape < 1) — ``F`` is the exact CDF, so point masses and
+    kinks are not smeared.  The scalar :meth:`F` and the batched
+    :meth:`F_many`/:meth:`H_many` take the same branch and, when
+    interpolating, the same :func:`_hermite`, so they stay bit-identical.
     """
 
     __slots__ = (
@@ -223,6 +255,7 @@ class CdfTransform:
         "_fs",
         "_gs",
         "_g_total",
+        "_hermite_coeffs",
     )
 
     def __init__(self, duration: DurationDistribution, movie_length: float) -> None:
@@ -230,12 +263,29 @@ class CdfTransform:
         self._length = float(movie_length)
         self._xs = np.linspace(0.0, self._length, DEFAULT_GRID_POINTS)
         self._fs = duration.cdf_batch(self._xs)
-        # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.  Only G needs the
-        # grid; F is evaluated exactly so point masses are not smeared.
+        # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.
         widths = np.diff(self._xs)
         areas = 0.5 * (self._fs[1:] + self._fs[:-1]) * widths
         self._gs = np.concatenate(([0.0], np.cumsum(areas)))
         self._g_total = float(self._gs[-1])
+        self._hermite_coeffs = self._certified_hermite(widths)
+
+    def _certified_hermite(self, widths: np.ndarray) -> tuple[np.ndarray, ...] | None:
+        """The interpolant's per-cell coefficients, or None when uncertified."""
+        densities = self._duration.pdf_batch(self._xs)
+        if not np.isfinite(densities).all():
+            return None
+        slopes = np.diff(self._fs) / widths
+        left, right = densities[:-1], densities[1:]
+        coeffs = (
+            self._fs[:-1],
+            left,
+            (3.0 * slopes - 2.0 * left - right) / widths,
+            (left + right - 2.0 * slopes) / (widths * widths),
+        )
+        mids = self._xs[:-1] + 0.5 * widths
+        error = np.abs(_hermite(mids, self._xs, coeffs) - self._duration.cdf_batch(mids))
+        return coeffs if error.max() <= HERMITE_TOLERANCE else None
 
     @property
     def movie_length(self) -> float:
@@ -247,13 +297,20 @@ class CdfTransform:
         """``F(l)`` — 1.0 when the distribution is truncated to the movie."""
         return float(self._fs[-1])
 
+    @property
+    def interpolated(self) -> bool:
+        """Whether ``F`` is the certified Hermite interpolant (else exact)."""
+        return self._hermite_coeffs is not None
+
     def F(self, c: float) -> float:
-        """The exact CDF, saturated outside ``[0, l]``."""
+        """The CDF, saturated outside ``[0, l]``."""
         if c <= 0.0:
             return 0.0
         if c >= self._length:
             return float(self._fs[-1])
-        return self._duration.cdf(c)
+        if self._hermite_coeffs is None:
+            return self._duration.cdf(c)
+        return float(_hermite(c, self._xs, self._hermite_coeffs))
 
     def G(self, c: float) -> float:
         """``∫_0^c F(u) du`` for ``c`` clamped to ``[0, l]``."""
@@ -278,19 +335,22 @@ class CdfTransform:
     # ------------------------------------------------------------------
     # Batched evaluation.  Each *_many method reproduces the scalar method
     # element by element — same clamps, same interpolation arithmetic, same
-    # CDF calls (routed through the distribution's ``cdf_batch``) — so the
+    # CDF (the interpolant, or the distribution's ``cdf_batch``) — so the
     # batched hit kernels below stay byte-identical with the scalar path.
     # ------------------------------------------------------------------
-    def F_many(self, cs: np.ndarray) -> np.ndarray:
-        """Batched :meth:`F` (exact CDF with saturation outside ``[0, l]``).
+    def _interior_F(self, cs: np.ndarray) -> np.ndarray:
+        """:meth:`F` over points strictly inside ``(0, l)``."""
+        if self._hermite_coeffs is None:
+            return self._duration.cdf_batch(cs)
+        return _hermite(cs, self._xs, self._hermite_coeffs)
 
-        Vectorised clamps, then one ``cdf_batch`` over the interior.
-        """
+    def F_many(self, cs: np.ndarray) -> np.ndarray:
+        """Batched :meth:`F`: vectorised clamps, one pass over the interior."""
         length = self._length
         out = np.where(cs >= length, float(self._fs[-1]), 0.0)
         mask = (cs > 0.0) & (cs < length)
         if mask.any():
-            out[mask] = self._duration.cdf_batch(cs[mask])
+            out[mask] = self._interior_F(cs[mask])
         return out
 
     def G_many(self, cs: np.ndarray) -> np.ndarray:
@@ -307,7 +367,7 @@ class CdfTransform:
 
         The interior expression is the scalar ``G(c) + (l − c) · F(c)`` with
         the interpolation and the multiply/add vectorised (exactly-rounded
-        ops; the CDF itself goes through the distribution's ``cdf_batch``).
+        ops throughout).
         """
         length = self._length
         out = np.where(cs >= length, self._g_total, 0.0)
@@ -316,7 +376,7 @@ class CdfTransform:
             interior = cs[mask]
             out[mask] = (
                 np.interp(interior, self._xs, self._gs)
-                + (length - interior) * self._duration.cdf_batch(interior)
+                + (length - interior) * self._interior_F(interior)
             )
         return out
 

@@ -31,7 +31,6 @@ simulation validates the predictions (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.parameters import SystemConfiguration

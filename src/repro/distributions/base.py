@@ -75,6 +75,16 @@ class DurationDistribution(ABC):
         values = np.asarray(xs, dtype=float)
         return np.fromiter(map(self.cdf, values.tolist()), dtype=float, count=values.size)
 
+    def pdf_batch(self, xs: "Sequence[float] | np.ndarray") -> np.ndarray:
+        """The density at every ``x`` in ``xs``, as one float ndarray.
+
+        The scalar ``pdf`` in a loop; overrides (exponential, gamma,
+        empirical, truncations) must equal it bit for bit, like
+        :meth:`cdf_batch`.
+        """
+        values = np.asarray(xs, dtype=float)
+        return np.fromiter(map(self.pdf, values.tolist()), dtype=float, count=values.size)
+
     def probability(self, lo: float, hi: float) -> float:
         """``P(lo <= X <= hi)``; clamps a reversed or empty range to 0."""
         if hi <= lo:

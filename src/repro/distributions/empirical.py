@@ -68,6 +68,17 @@ class EmpiricalDuration(DurationDistribution):
         mass = self._probs[idx + 1] - self._probs[idx]
         return float(mass / width)
 
+    def pdf_batch(self, xs):
+        # ``pdf`` per element: the same segment lookup and slope division.
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        knots = self._knots
+        out = np.zeros(xs.shape)
+        inside = ~((xs < knots[0]) | (xs > knots[-1]))
+        idx = np.searchsorted(knots, xs[inside], side="right") - 1
+        idx = np.minimum(np.maximum(idx, 0), knots.size - 2)
+        out[inside] = (self._probs[idx + 1] - self._probs[idx]) / (knots[idx + 1] - knots[idx])
+        return out
+
     def cdf(self, x: float) -> float:
         if x <= self._knots[0]:
             return 0.0

@@ -54,6 +54,17 @@ class ExponentialDuration(DurationDistribution):
         out[pos] = -np.fromiter(map(math.expm1, args.tolist()), dtype=float, count=args.size)
         return out
 
+    def pdf_batch(self, xs):
+        # ``pdf`` arithmetic per element, exp through map(math.exp, ...).
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        inside = ~(xs < 0.0)
+        args = (-self.rate) * xs[inside]
+        out[inside] = self.rate * np.fromiter(
+            map(math.exp, args.tolist()), dtype=float, count=args.size
+        )
+        return out
+
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return super().ppf(q)  # delegate the error handling

@@ -85,6 +85,26 @@ class GammaDuration(DurationDistribution):
         scaled = np.where(xs > 0.0, xs / self._scale, 0.0)
         return regularized_lower_gamma_many(self._shape, scaled)
 
+    def pdf_batch(self, xs):
+        # ``pdf`` arithmetic per element: the linear combination vectorised
+        # in the scalar's order, log/exp through map(math.*, ...).
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        z = xs / self._scale
+        inside = ~(xs < 0.0)
+        if self._shape <= 1.0:
+            out[inside & (z == 0.0)] = 1.0 / self._scale if self._shape == 1.0 else math.inf
+        interior = inside & (z != 0.0)
+        zs = z[interior]
+        logs = np.fromiter(map(math.log, zs.tolist()), dtype=float, count=zs.size)
+        log_pdf = ((self._shape - 1.0) * logs - zs - log_gamma(self._shape)) - math.log(
+            self._scale
+        )
+        out[interior] = np.fromiter(
+            map(math.exp, log_pdf.tolist()), dtype=float, count=zs.size
+        )
+        return out
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.gamma(self._shape, self._scale, size=size)
 

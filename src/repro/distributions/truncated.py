@@ -190,6 +190,15 @@ class TruncatedDuration(DurationDistribution):
             out[inner] = self._base.cdf_batch(xs[inner]) / self._mass
         return out
 
+    def pdf_batch(self, xs):
+        # Same support test and renormalising division as ``pdf``.
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        inner = ~((xs < 0.0) | (xs > self._limit))
+        if inner.any():
+            out[inner] = self._base.pdf_batch(xs[inner]) / self._mass
+        return out
+
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return super().ppf(q)

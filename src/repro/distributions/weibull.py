@@ -51,13 +51,15 @@ class WeibullDuration(DurationDistribution):
     def pdf(self, x: float) -> float:
         if x < 0.0:
             return 0.0
-        if x == 0.0:
+        z = x / self._scale
+        if z == 0.0:
+            # The origin, including subnormal x whose ratio against the
+            # scale underflows to 0 (``0.0 ** negative`` would raise).
             if self._shape > 1.0:
                 return 0.0
             if self._shape == 1.0:
                 return 1.0 / self._scale
             return math.inf
-        z = x / self._scale
         return (self._shape / self._scale) * z ** (self._shape - 1.0) * math.exp(-(z ** self._shape))
 
     def cdf(self, x: float) -> float:

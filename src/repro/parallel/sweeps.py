@@ -18,7 +18,7 @@ though pool workers do not persist between phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.parallel.executor import ParallelExecutor, ParallelOutcome, worker_cache
 from repro.sizing.feasible import FeasiblePoint, FeasibleSet, MovieSizingSpec

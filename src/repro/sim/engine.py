@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable
 
 from repro.exceptions import SimulationError
 

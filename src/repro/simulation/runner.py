@@ -9,7 +9,7 @@ exact structure of the paper's Figure 7 panels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.hitmodel import HitProbabilityModel, VCRMix
 from repro.core.parameters import SystemConfiguration

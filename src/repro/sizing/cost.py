@@ -16,7 +16,6 @@ optimisation at every total-stream budget and pricing the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -21,7 +21,7 @@ influence of heavy interactors; the tests quantify the gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.hitmodel import HitBreakdown, HitProbabilityModel, VCRMix

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.core.hitmodel import VCRMix
-from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
 from repro.distributions.scaled import ScaledDuration
 from repro.exceptions import ConfigurationError

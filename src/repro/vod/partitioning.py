@@ -22,7 +22,7 @@ every hit except at the instant a restart happens or a window ends
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.core.parameters import SystemConfiguration

@@ -8,7 +8,7 @@ Used by both the hit simulator and the full server simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,6 @@ life cycle (Section 2 of the paper):
 
 from __future__ import annotations
 
-import math
 from typing import Generator
 
 from repro.core.vcrop import VCROperation

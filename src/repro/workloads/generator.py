@@ -11,8 +11,6 @@ data for the fitting pipeline and replayable workloads for experiments.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.vcrop import VCROperation
 from repro.exceptions import ConfigurationError
 from repro.sim.rng import RandomStreams

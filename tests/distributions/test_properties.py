@@ -141,3 +141,38 @@ def test_mean_matches_tail_integral(dist):
         tail = gauss_legendre(survival_batch, 0.0, mid, num_nodes=96)
         tail += gauss_legendre(survival_batch, mid, far, num_nodes=96)
         assert tail == pytest.approx(dist.mean, rel=0.05, abs=0.02)
+
+
+def _edge_points(dist):
+    """Support edges of ``dist``: knots, and a truncation limit ±1 ulp."""
+    if isinstance(dist, EmpiricalDuration):
+        return dist._knots.tolist()
+    if isinstance(dist, TruncatedDuration):
+        limit = dist.limit
+        return [np.nextafter(limit, -np.inf), limit, np.nextafter(limit, np.inf)]
+    if isinstance(dist, UniformDuration):
+        return [dist.lo, dist.hi]
+    return []
+
+
+# Empirical knots a subnormal apart overflow the slope to inf, in both paths.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=distributions(),
+    xs=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, -1e-300, 5e-324, 2.2e-308, 1e-310]),
+            st.floats(-10.0, 200.0),
+            st.floats(0.0, 1e-300, allow_subnormal=True),
+        ),
+        max_size=30,
+    ),
+)
+def test_pdf_batch_matches_scalar_bit_for_bit(dist, xs):
+    points = [float(x) for x in xs + _edge_points(dist)]
+    expected = np.array([dist.pdf(x) for x in points], dtype=float)
+    for batch_in in (points, np.asarray(points, dtype=float)):
+        values = dist.pdf_batch(batch_in)
+        assert isinstance(values, np.ndarray)
+        assert values.tobytes() == expected.tobytes()

@@ -40,7 +40,7 @@ def test_paper_equation_path(benchmark):
 
 def test_cdf_transform_construction(benchmark):
     transform = benchmark(CdfTransform, DURATION, LENGTH)
-    assert transform.total_mass == pytest.approx(1.0, abs=1e-9)
+    assert transform.F(LENGTH) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_full_breakdown(benchmark):

@@ -210,20 +210,26 @@ def hit_probability_at(
 #: Largest error against the exact CDF, over the grid's cell midpoints, at
 #: which a transform evaluates ``F`` by its cubic Hermite interpolant.
 HERMITE_TOLERANCE = 1e-10
+#: Index of the grid's last cell: the grid has one cell fewer than points.
+_LAST_CELL = DEFAULT_GRID_POINTS - 2
+#: Points per block of the batched evaluation: bounds its temporaries.
+_BLOCK = 1 << 15
 
 
-def _hermite(cs, xs: np.ndarray, coeffs: tuple[np.ndarray, ...]):
-    """The cubic Hermite interpolant at ``cs`` (one float or an ndarray).
+def _hermite(coeffs: tuple[np.ndarray, ...], cells, offsets):
+    """The cubic Hermite interpolant at ``offsets`` from the left nodes of ``cells``.
 
     ``coeffs`` holds, per grid cell, the power-form coefficients in the
-    offset from the cell's left node.  The cell search compares, and the
-    rest is exactly-rounded ``+ − ×``, so a float argument and the same
-    value inside an array give the same bits on every CPU.
+    offset from the cell's left node.  Horner's rule is exactly-rounded
+    ``+ ×``, so one ``np.float64`` and the same value inside an array give
+    the same bits on every CPU.  Each step updates the fresh gather in place.
     """
     f0, d1, d2, d3 = coeffs
-    cells = np.searchsorted(xs, cs, side="right") - 1
-    s = cs - xs[cells]
-    return f0[cells] + s * (d1[cells] + s * (d2[cells] + s * d3[cells]))
+    value = d3[cells]
+    for coeff in (d2, d1, f0):
+        value *= offsets
+        value += coeff[cells]
+    return value
 
 
 class CdfTransform:
@@ -232,8 +238,8 @@ class CdfTransform:
     Built once per (distribution, movie length) pair.  The grid's CDF
     values come from one ``cdf_batch`` call, which every family keeps
     bit-for-bit equal to its scalar ``cdf``; ``G`` is their cumulative
-    trapezoid.  ``H`` is the closed-form kernel of the ``V_c``-
-    unconditioning described in the module docstring.
+    trapezoid, interpolated linearly.  ``H`` is the closed-form kernel of
+    the ``V_c``-unconditioning described in the module docstring.
 
     ``F`` is the cubic Hermite interpolant of the grid CDF and the grid
     density (``pdf_batch``) when that interpolant is certified at
@@ -243,17 +249,23 @@ class CdfTransform:
     kink or a point mass inside the grid (empirical, deterministic,
     uniform edges, truncation below ``l``) or an infinite density (gamma
     or Weibull shape < 1) — ``F`` is the exact CDF, so point masses and
-    kinks are not smeared.  The scalar :meth:`F` and the batched
-    :meth:`F_many`/:meth:`H_many` take the same branch and, when
-    interpolating, the same :func:`_hermite`, so they stay bit-identical.
+    kinks are not smeared.
+
+    Every query point inside ``(0, l)`` is located on the uniform grid once,
+    by arithmetic (:meth:`_locate`), and ``G`` and the interpolated ``F``
+    are read from that one cell.  The scalar :meth:`F`/:meth:`G`/:meth:`H`
+    and the batched :meth:`F_many`/:meth:`H_many` share the lookup and the
+    arithmetic, so they stay bit-identical.
     """
 
     __slots__ = (
         "_duration",
         "_length",
         "_xs",
+        "_cell_scale",
         "_fs",
         "_gs",
+        "_g_slopes",
         "_g_total",
         "_hermite_coeffs",
     )
@@ -262,11 +274,15 @@ class CdfTransform:
         self._duration = duration
         self._length = float(movie_length)
         self._xs = np.linspace(0.0, self._length, DEFAULT_GRID_POINTS)
+        self._cell_scale = (DEFAULT_GRID_POINTS - 1) / self._length
         self._fs = duration.cdf_batch(self._xs)
         # Cumulative trapezoid for G(c) = ∫_0^c F(u) du.
         widths = np.diff(self._xs)
         areas = 0.5 * (self._fs[1:] + self._fs[:-1]) * widths
         self._gs = np.concatenate(([0.0], np.cumsum(areas)))
+        # numpy's interp slope table: G below rounds as numpy's linear
+        # interpolation of (xs, gs) does, bit for bit.
+        self._g_slopes = np.diff(self._gs) / widths
         self._g_total = float(self._gs[-1])
         self._hermite_coeffs = self._certified_hermite(widths)
 
@@ -284,8 +300,37 @@ class CdfTransform:
             (left + right - 2.0 * slopes) / (widths * widths),
         )
         mids = self._xs[:-1] + 0.5 * widths
-        error = np.abs(_hermite(mids, self._xs, coeffs) - self._duration.cdf_batch(mids))
+        error = np.abs(_hermite(coeffs, *self._locate(mids)) - self._duration.cdf_batch(mids))
         return coeffs if error.max() <= HERMITE_TOLERANCE else None
+
+    def _locate(self, cs):
+        """The grid cell of each ``c`` in ``(0, l)`` and ``c``'s offset into it.
+
+        ``cs`` is one ``np.float64`` or an ndarray.  The cell ``j`` has
+        ``xs[j] <= c < xs[j + 1]`` — the cell a binary search of the grid
+        would find — read from arithmetic instead: on the uniform grid
+        ``c · (points − 1)/l`` is ``j`` up to rounding, so its floor (``>= 0``
+        for ``c > 0``; capped at the last cell) is off by at most one, and
+        one compare each way corrects it.
+        """
+        xs = self._xs
+        cells = np.minimum((cs * self._cell_scale).astype(np.intp), _LAST_CELL)
+        cells -= xs[cells] > cs
+        cells += xs[cells + 1] <= cs
+        return cells, cs - xs[cells]
+
+    def _interior_G(self, cells, offsets):
+        """``G`` inside ``(0, l)``: numpy's interp formula ``slope·(c − x_j) + g_j``."""
+        value = self._g_slopes[cells]
+        value *= offsets
+        value += self._gs[cells]
+        return value
+
+    def _interior_H(self, cs, cells, offsets, f):
+        """``G(c) + (l − c)·F(c)`` inside ``(0, l)``, given ``F(c)``."""
+        value = self._interior_G(cells, offsets)
+        value += (self._length - cs) * f
+        return value
 
     @property
     def movie_length(self) -> float:
@@ -293,40 +338,44 @@ class CdfTransform:
         return self._length
 
     @property
-    def total_mass(self) -> float:
-        """``F(l)`` — 1.0 when the distribution is truncated to the movie."""
-        return float(self._fs[-1])
-
-    @property
     def interpolated(self) -> bool:
         """Whether ``F`` is the certified Hermite interpolant (else exact)."""
         return self._hermite_coeffs is not None
 
     def F(self, c: float) -> float:
-        """The CDF, saturated outside ``[0, l]``."""
-        if c <= 0.0:
+        """The CDF, saturated outside ``[0, l]``.
+
+        Like the batched masks, the clamps send NaN to 0.0.
+        """
+        if not c > 0.0:
             return 0.0
         if c >= self._length:
             return float(self._fs[-1])
         if self._hermite_coeffs is None:
             return self._duration.cdf(c)
-        return float(_hermite(c, self._xs, self._hermite_coeffs))
+        return float(_hermite(self._hermite_coeffs, *self._locate(np.float64(c))))
 
     def G(self, c: float) -> float:
         """``∫_0^c F(u) du`` for ``c`` clamped to ``[0, l]``."""
-        if c <= 0.0:
+        if not c > 0.0:
             return 0.0
         if c >= self._length:
             return self._g_total
-        return float(np.interp(c, self._xs, self._gs))
+        return float(self._interior_G(*self._locate(np.float64(c))))
 
     def H(self, c: float) -> float:
         """``∫_0^l F(min(c, u)) du`` — monotone, with ``H(c >= l) = G(l)``."""
-        if c <= 0.0:
+        if not c > 0.0:
             return 0.0
         if c >= self._length:
             return self._g_total
-        return self.G(c) + (self._length - c) * self.F(c)
+        point = np.float64(c)
+        cells, offsets = self._locate(point)
+        if self._hermite_coeffs is None:
+            f = self._duration.cdf(c)
+        else:
+            f = _hermite(self._hermite_coeffs, cells, offsets)
+        return float(self._interior_H(point, cells, offsets, f))
 
     def end_mass(self) -> float:
         """``∫_0^l (1 − F(u)) du = l − G(l)`` — the Eq. (20) numerator."""
@@ -334,51 +383,50 @@ class CdfTransform:
 
     # ------------------------------------------------------------------
     # Batched evaluation.  Each *_many method reproduces the scalar method
-    # element by element — same clamps, same interpolation arithmetic, same
-    # CDF (the interpolant, or the distribution's ``cdf_batch``) — so the
-    # batched hit kernels below stay byte-identical with the scalar path.
+    # element by element — same clamps, same cell lookup and arithmetic,
+    # same CDF (the interpolant, or the distribution's ``cdf_batch``) — so
+    # the batched hit kernels below stay byte-identical with the scalar path.
     # ------------------------------------------------------------------
-    def _interior_F(self, cs: np.ndarray) -> np.ndarray:
-        """:meth:`F` over points strictly inside ``(0, l)``."""
+    def _many(self, cs: np.ndarray, at_length: float, interior) -> np.ndarray:
+        """The scalar clamps over a 1-D ``cs``; ``interior`` maps ``(0, l)``.
+
+        Blocks of :data:`_BLOCK` points keep the interior's temporaries
+        small however long ``cs`` is; every value is elementwise, so the
+        blocking changes no bit.
+        """
+        length = self._length
+        out = np.where(cs >= length, at_length, 0.0)
+        for start in range(0, cs.size, _BLOCK):
+            block = cs[start : start + _BLOCK]
+            mask = (block > 0.0) & (block < length)
+            if mask.any():
+                out[start : start + _BLOCK][mask] = interior(block[mask])
+        return out
+
+    def _interior_F_many(self, cs: np.ndarray) -> np.ndarray:
         if self._hermite_coeffs is None:
             return self._duration.cdf_batch(cs)
-        return _hermite(cs, self._xs, self._hermite_coeffs)
+        return _hermite(self._hermite_coeffs, *self._locate(cs))
+
+    def _interior_H_many(self, cs: np.ndarray) -> np.ndarray:
+        cells, offsets = self._locate(cs)
+        if self._hermite_coeffs is None:
+            f = self._duration.cdf_batch(cs)
+        else:
+            f = _hermite(self._hermite_coeffs, cells, offsets)
+        return self._interior_H(cs, cells, offsets, f)
 
     def F_many(self, cs: np.ndarray) -> np.ndarray:
-        """Batched :meth:`F`: vectorised clamps, one pass over the interior."""
-        length = self._length
-        out = np.where(cs >= length, float(self._fs[-1]), 0.0)
-        mask = (cs > 0.0) & (cs < length)
-        if mask.any():
-            out[mask] = self._interior_F(cs[mask])
-        return out
-
-    def G_many(self, cs: np.ndarray) -> np.ndarray:
-        """Batched :meth:`G` (``∫_0^c F``, clamped to ``[0, l]``)."""
-        length = self._length
-        out = np.where(cs >= length, self._g_total, 0.0)
-        mask = (cs > 0.0) & (cs < length)
-        if mask.any():
-            out[mask] = np.interp(cs[mask], self._xs, self._gs)
-        return out
+        """Batched :meth:`F`: vectorised clamps, the interior in blocks."""
+        return self._many(cs, float(self._fs[-1]), self._interior_F_many)
 
     def H_many(self, cs: np.ndarray) -> np.ndarray:
         """Batched :meth:`H` — the hot call of the batched hit kernels.
 
-        The interior expression is the scalar ``G(c) + (l − c) · F(c)`` with
-        the interpolation and the multiply/add vectorised (exactly-rounded
-        ops throughout).
+        The interior expression is the scalar ``G(c) + (l − c) · F(c)``,
+        with ``G`` and ``F`` read from one cell lookup per point.
         """
-        length = self._length
-        out = np.where(cs >= length, self._g_total, 0.0)
-        mask = (cs > 0.0) & (cs < length)
-        if mask.any():
-            interior = cs[mask]
-            out[mask] = (
-                np.interp(interior, self._xs, self._gs)
-                + (length - interior) * self._interior_F(interior)
-            )
-        return out
+        return self._many(cs, self._g_total, self._interior_H_many)
 
 
 # ----------------------------------------------------------------------
@@ -512,9 +560,8 @@ def hit_probability(
 #
 # One call evaluates a whole list of (n, B) configurations: every H/F
 # argument of every offset node of every configuration is gathered into a
-# single flat array, resolved with CdfTransform batch calls (one
-# distribution-CDF batch, one interpolation pass each), then reduced per
-# configuration in exactly the order the scalar loops use — so the results
+# single flat array, resolved with one CdfTransform batch call, then reduced
+# per configuration in exactly the order the scalar loops use — so the results
 # are byte-identical to hit_probability(), which stays as the oracle.
 # ----------------------------------------------------------------------
 def _offset_nodes(span: float) -> tuple[list[float], tuple[float, ...] | None]:
@@ -612,7 +659,7 @@ def hit_probability_batch(
     only changes *how many* quadrature arguments are resolved per call.
 
     Arguments are gathered into three flat streams (FF node leads, interval
-    highs, interval lows), resolved with whole-stream ``H``/``F`` batches,
+    highs, interval lows), resolved together with one ``H``/``F`` batch,
     differenced elementwise, and reduced per node with ``sum()`` — which adds
     left to right exactly like the scalar accumulation loops.
     """
@@ -647,13 +694,15 @@ def hit_probability_batch(
     # skip resolving them at all — bit-identical, and a span-0 sweep (pure
     # batching, B = 0) costs nothing per interval.
     proper = hi_arr != lo_arr
+    count = int(np.count_nonzero(proper))
+    # One elementwise resolve over every argument — highs, lows and the FF
+    # leads H(alpha*d) the node sums start from — split afterwards.
+    values = resolve(np.concatenate([hi_arr[proper], lo_arr[proper], *lead_parts]))
     diff_arr = np.zeros(hi_arr.shape[0])
-    if proper.any():
-        diff_arr[proper] = resolve(hi_arr[proper]) - resolve(lo_arr[proper])
+    diff_arr[proper] = values[:count] - values[count : 2 * count]
     diffs = diff_arr.tolist()
-    # Node sums start from the lead H(alpha*d) for FF and from 0.0 otherwise.
     if is_ff:
-        lead_vals = resolve(np.concatenate(lead_parts)).tolist()
+        lead_vals = values[2 * count :].tolist()
     else:
         lead_vals = [0.0] * sum(len(counts) for _, counts in plans)
 

@@ -46,10 +46,11 @@ class ExponentialDuration(DurationDistribution):
     def cdf_batch(self, xs):
         # Same arithmetic as ``cdf`` (bit-for-bit), one frame per batch: the
         # multiply/negate are exactly-rounded vector ops and expm1 goes
-        # through map(math.expm1, ...) per element.
+        # through map(math.expm1, ...) per element.  ``cdf``'s clamp is
+        # ``x <= 0``, so NaN takes the expm1 branch and stays NaN.
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
-        pos = xs > 0.0
+        pos = ~(xs <= 0.0)
         args = (-self.rate) * xs[pos]
         out[pos] = -np.fromiter(map(math.expm1, args.tolist()), dtype=float, count=args.size)
         return out

@@ -80,9 +80,10 @@ class GammaDuration(DurationDistribution):
 
     def cdf_batch(self, xs):
         # The masked vectorised incomplete gamma, bitwise-equal to the
-        # scalar series / continued fraction.
+        # scalar series / continued fraction.  ``cdf``'s clamp is ``x <= 0``,
+        # so NaN reaches the continued fraction and raises as it does there.
         xs = np.asarray(xs, dtype=float)
-        scaled = np.where(xs > 0.0, xs / self._scale, 0.0)
+        scaled = np.where(xs <= 0.0, 0.0, xs / self._scale)
         return regularized_lower_gamma_many(self._shape, scaled)
 
     def pdf_batch(self, xs):

@@ -205,7 +205,8 @@ def regularized_lower_gamma_many(a: float, xs: np.ndarray) -> np.ndarray:
         raise NumericsError(f"regularized_lower_gamma requires a > 0, got {a}")
     out = np.zeros(xs.shape)
     series = (xs > 0.0) & (xs < a + 1.0)
-    fraction = xs >= a + 1.0
+    # The scalar's final ``else``: NaN goes to the continued fraction too.
+    fraction = ~(xs < a + 1.0)
     if series.any():
         out[series] = np.minimum(1.0, _gamma_series_many(a, xs[series]))
     if fraction.any():

@@ -181,11 +181,11 @@ class TruncatedDuration(DurationDistribution):
     def cdf_batch(self, xs):
         # One base-distribution batch over the interior points, with the
         # same clamps and the same renormalising division as ``cdf`` (both
-        # exactly-rounded vector ops).
+        # exactly-rounded vector ops).  NaN passes both clamps, as in ``cdf``.
         xs = np.asarray(xs, dtype=float)
         limit = self._limit
         out = np.where(xs >= limit, 1.0, 0.0)
-        inner = (xs > 0.0) & (xs < limit)
+        inner = ~((xs <= 0.0) | (xs >= limit))
         if inner.any():
             out[inner] = self._base.cdf_batch(xs[inner]) / self._mass
         return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,16 +20,20 @@ from repro.distributions import (
     UniformDuration,
     WeibullDuration,
 )
+from repro.exceptions import NumericsError
 from repro.numerics.quadrature import gauss_legendre
+
+#: Every family :func:`distributions` draws from.
+FAMILIES = (
+    "exp", "gamma", "uniform", "deterministic", "lognormal", "weibull",
+    "empirical", "mixture", "truncated", "truncated_gamma",
+)
 
 
 @st.composite
-def distributions(draw):
+def distributions(draw, families=FAMILIES):
     """Strategy producing an arbitrary parameterised duration distribution."""
-    family = draw(st.sampled_from(
-        ["exp", "gamma", "uniform", "deterministic", "lognormal", "weibull",
-         "empirical", "mixture", "truncated", "truncated_gamma"]
-    ))
+    family = draw(st.sampled_from(families))
     if family == "exp":
         return ExponentialDuration(draw(st.floats(0.1, 50.0)))
     if family == "gamma":
@@ -176,3 +182,22 @@ def test_pdf_batch_matches_scalar_bit_for_bit(dist, xs):
         values = dist.pdf_batch(batch_in)
         assert isinstance(values, np.ndarray)
         assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cdf_batch_follows_scalar_on_nan(family, data):
+    """NaN gets the scalar's answer from ``cdf_batch``: its bits, or its error."""
+    dist = data.draw(distributions(families=(family,)))
+    batches = ([math.nan], np.asarray([1.0, math.nan, 0.0]))
+    try:
+        expected = np.float64(dist.cdf(math.nan)).tobytes()
+    except NumericsError as error:
+        for batch in batches:
+            with pytest.raises(NumericsError) as raised:
+                dist.cdf_batch(batch)
+            assert str(raised.value) == str(error)
+        return
+    assert dist.cdf_batch(batches[0]).tobytes() == expected
+    assert dist.cdf_batch(batches[1])[1:2].tobytes() == expected

@@ -103,17 +103,33 @@ class DurationDistribution(ABC):
         is accurate to ``1e-10``, and to ``1e-10`` relative below 1, where a
         steep CDF head (gamma shape < 1) turns an absolute error into a large
         error in probability.  Requires ``q`` in ``(0, 1)``.
+
+        The bracket probes and their CDF values are computed once per
+        distribution and reused by every later call; the probe that closes
+        the bracket is also Brent's upper endpoint, so Brent sees exactly the
+        values it would compute.
         """
         if not 0.0 < q < 1.0:
             raise DistributionError(f"ppf requires q in (0, 1), got {q}")
-        hi = self.upper
-        if math.isinf(hi):
-            hi = max(self.mean, 1.0)
-            while self.cdf(hi) < q:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise DistributionError("ppf failed to bracket the quantile")
-        return brent(lambda x: self.cdf(x) - q, 0.0, hi, tol=1e-10)
+        try:
+            probes = self._ppf_probes
+        except AttributeError:
+            hi = self.upper
+            if math.isinf(hi):
+                hi = max(self.mean, 1.0)
+            probes = self._ppf_probes = [(hi, self.cdf(hi))]
+        hi, f_hi = probes[0]
+        if math.isinf(self.upper):
+            k = 0
+            while f_hi < q:
+                k += 1
+                if k == len(probes):
+                    hi *= 2.0
+                    if hi > 1e12:
+                        raise DistributionError("ppf failed to bracket the quantile")
+                    probes.append((hi, self.cdf(hi)))
+                hi, f_hi = probes[k]
+        return brent(lambda x: self.cdf(x) - q, 0.0, hi, tol=1e-10, f_hi=f_hi - q)
 
     def describe(self) -> str:
         """Short human-readable description used by experiment reports."""

@@ -59,6 +59,8 @@ def brent(
     hi: float,
     tol: float = 1e-12,
     max_iter: int = 100,
+    *,
+    f_hi: float | None = None,
 ) -> float:
     """Brent's method: inverse-quadratic/secant with bisection fallback.
 
@@ -69,9 +71,12 @@ def brent(
 
     The root is located to within ``tol`` both absolutely and relatively
     (``tol * min(1, |x|)``), so a root near zero keeps its relative accuracy.
+    A caller that already knows ``func(hi)`` passes it as ``f_hi`` to skip
+    that evaluation.
     """
     a, b = float(lo), float(hi)
-    fa, fb = float(func(a)), float(func(b))
+    fa = float(func(a))
+    fb = float(func(b)) if f_hi is None else float(f_hi)
     if fa == 0.0:
         return a
     if fb == 0.0:

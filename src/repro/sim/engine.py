@@ -11,6 +11,13 @@ Determinism: ties in time are broken by priority then by an insertion
 sequence number, so two runs with the same seeds produce identical event
 orderings — essential for the reproducibility of every experiment in this
 repository.
+
+Events nobody can be waiting on are settled in place rather than queued: a
+process that finishes with no callbacks attached, and a non-blocking
+:meth:`~repro.sim.resources.Resource.try_request` grant.  Such an entry
+would fire at the current time with nothing to run; leaving it out draws no
+sequence number, and the numbers the other entries draw stay increasing, so
+their order is unchanged.
 """
 
 from __future__ import annotations
@@ -115,21 +122,30 @@ class Event:
             assert self.callbacks is not None
             self.callbacks.append(callback)
 
-    def _process(self) -> None:
+    def _settle(self, value: Any) -> None:
+        """Trigger and process the event in place, without queuing it.
+
+        Only valid while nobody waits on the event: a later ``yield`` or
+        :meth:`add_callback` sees it processed and resumes at once.
+        """
+        self._triggered = True
         self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks or ():
-            callback(self)
+        self._value = value
+        self.callbacks = None
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    ``delay`` must be finite and non-negative: a NaN entry would sit at the
+    top of the queue and stop :meth:`Environment.run` without an error.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         super().__init__(env)
         self.delay = delay
         self._triggered = True
@@ -201,7 +217,12 @@ class Process(Event):
             else:
                 target = self._generator.throw(trigger._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: settle in place instead of queuing an event
+                # that would fire with no callback.
+                self._settle(stop.value)
             return
         except Interrupt as exc:
             # An unhandled interrupt terminates the process as a failure.
@@ -324,16 +345,22 @@ class Environment:
         return self._queue[0][0] if self._queue else math.inf
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _, _, event = heapq.heappop(self._queue)
-        if when < self._now - 1e-12:
+        """Process exactly one event: advance the clock, run its callbacks."""
+        try:
+            when, _, _, event = heapq.heappop(self._queue)
+        except IndexError:
+            raise SimulationError("step() on an empty event queue") from None
+        now = self._now
+        if when > now:
+            self._now = when
+        elif when < now - 1e-12:
             raise SimulationError(
-                f"causality violation: event scheduled at {when} processed at {self._now}"
+                f"causality violation: event scheduled at {when} processed at {now}"
             )
-        self._now = max(self._now, when)
-        event._process()
+        event._processed = True
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.

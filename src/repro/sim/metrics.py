@@ -81,9 +81,12 @@ class TimeWeighted:
                 f"({self._last_time} -> {now})"
             )
         self._area += self._value * (now - self._last_time)
-        self._last_time = max(self._last_time, now)
-        self._value = float(value)
-        self._peak = max(self._peak, self._value)
+        if now > self._last_time:
+            self._last_time = now
+        value = float(value)
+        self._value = value
+        if value > self._peak:
+            self._peak = value
 
     def add(self, now: float, delta: float) -> None:
         """Convenience: bump the state by ``delta`` at time ``now``."""

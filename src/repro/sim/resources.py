@@ -100,10 +100,16 @@ class Resource:
         return req
 
     def try_request(self) -> ResourceRequest | None:
-        """Non-blocking claim: a granted request, or ``None`` if at capacity."""
+        """Non-blocking claim: a granted request, or ``None`` if at capacity.
+
+        Nobody can be waiting on a request that is granted before it is
+        returned, so the grant comes back processed and is never queued.
+        """
         if self._in_use < self._capacity and not self._waiting:
             req = ResourceRequest(self)
-            self._grant(req)
+            self._in_use += 1
+            req._granted = True
+            req._settle(req)
             return req
         return None
 

@@ -105,12 +105,20 @@ class MovieService:
 
     def _restart_loop(self) -> Generator[Event, None, None]:
         while True:
-            self._attempt_restart()
+            stream = self._attempt_restart()
             # Re-read the spacing every cycle so a reconfiguration takes
             # effect at the next restart boundary, never mid-window.
-            yield self._env.timeout(self.config.partition_spacing)
+            next_restart = self._env.timeout(self.config.partition_spacing)
+            if stream is not None:
+                # Queued after the next restart: a restart due at the
+                # instant this stream ends runs first.
+                playback = self.config.rates.playback
+                self._env.timeout(
+                    self.movie.length / playback, (stream, playback)
+                ).callbacks.append(self._end_io)
+            yield next_restart
 
-    def _attempt_restart(self) -> None:
+    def _attempt_restart(self) -> LiveStream | None:
         grant = self._streams.try_acquire(StreamPurpose.PLAYBACK)
         if grant is None:
             self._metrics.counter(f"restarts_starved.{self.movie.movie_id}").increment()
@@ -122,7 +130,7 @@ class MovieService:
                     movie=self.movie.movie_id,
                     starved=True,
                 )
-            return
+            return None
         stream = LiveStream(start_time=self._env.now, grant=grant)
         self._live.append(stream)
         self._metrics.counter("restarts").increment()
@@ -133,23 +141,32 @@ class MovieService:
                 movie=self.movie.movie_id,
                 starved=False,
             )
-        self._env.process(self._stream_end(stream), name=f"stream:{self.movie.title}")
-        # Wake every viewer queued for this restart.
-        signal, self._restart_signal = self._restart_signal, self._env.event()
-        signal.succeed(stream)
+        # Wake every viewer queued for this restart; with none queued the
+        # signal stays armed for the next one.
+        if self._restart_signal.callbacks:
+            signal, self._restart_signal = self._restart_signal, self._env.event()
+            signal.succeed(stream)
+        return stream
 
-    def _stream_end(self, stream: LiveStream) -> Generator[Event, None, None]:
-        playback = self.config.rates.playback
-        # The I/O stream ends when the playhead reaches the end of the movie.
-        yield self._env.timeout(self.movie.length / playback)
+    def _end_io(self, event: Event) -> None:
+        """The playhead reached the end of the movie: release the I/O stream."""
+        stream, playback = event.value
         grant, stream.grant = stream.grant, None
         if grant is not None and not grant.revoked:
             self._streams.release(grant)
         # The buffered tail serves the partition's remaining viewers for
         # `span` more minutes before the window disappears.
         if self.config.partition_span > 0.0:
-            yield self._env.timeout(self.config.partition_span / playback)
-        # The fault layer may have collapsed the partition while we slept.
+            self._env.timeout(
+                self.config.partition_span / playback, event.value
+            ).callbacks.append(self._end_tail)
+        else:
+            self._end_tail(event)
+
+    def _end_tail(self, event: Event) -> None:
+        """The buffered tail has drained: the partition's window disappears."""
+        stream = event.value[0]
+        # The fault layer may have collapsed the partition meanwhile.
         if stream in self._live:
             self._live.remove(stream)
 

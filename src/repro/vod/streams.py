@@ -30,6 +30,11 @@ class StreamPurpose(enum.Enum):
     UNPOPULAR = "unpopular"        # dedicated stream for a long-tail title
 
 
+#: Each purpose's hold-duration tally, named once.
+_HOLD_TALLY: dict[StreamPurpose, str] = {
+    purpose: f"hold_minutes.{purpose.value}" for purpose in StreamPurpose
+}
+
 #: Default order in which revocation sheds load: interactive extras go
 #: before anything a whole batch of viewers depends on.
 REVOCATION_ORDER: tuple[StreamPurpose, ...] = (
@@ -86,10 +91,11 @@ class StreamPool:
         self._live: dict[int, StreamGrant] = {}
         self._next_token = 0
         # Held by reference: ``MetricsRegistry.reset_all`` resets them in place.
-        self._occupancy: dict[StreamPurpose, TimeWeighted] = {
-            purpose: self._metrics.time_weighted(f"streams.{purpose.value}", now=env.now)
-            for purpose in StreamPurpose
-        }
+        # One per purpose, in ``_held``'s (declaration) order.
+        self._occupancy: tuple[TimeWeighted, ...] = tuple(
+            self._metrics.time_weighted(f"streams.{purpose.value}", now=env.now)
+            for purpose in self._held
+        )
         self._occupancy_total = self._metrics.time_weighted("streams.total", now=env.now)
 
     # ------------------------------------------------------------------
@@ -157,7 +163,7 @@ class StreamPool:
         if self._held[grant.purpose] < 0:
             raise ResourceError(f"negative hold count for {grant.purpose}")
         held = self._env.now - grant.granted_at
-        self._metrics.tally(f"hold_minutes.{grant.purpose.value}").push(held)
+        self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(held)
         self._account()
         if self._tracer is not None:
             self._tracer.emit(
@@ -208,7 +214,7 @@ class StreamPool:
             self._resource.release(grant.request)
             self._held[grant.purpose] -= 1
             held = self._env.now - grant.granted_at
-            self._metrics.tally(f"hold_minutes.{grant.purpose.value}").push(held)
+            self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(held)
             self._metrics.counter("streams.revoked").increment()
             if self._tracer is not None:
                 self._tracer.emit(
@@ -261,7 +267,7 @@ class StreamPool:
         self._check_live(grant, "retag")
         self._held[grant.purpose] -= 1
         self._held[purpose] += 1
-        self._metrics.tally(f"hold_minutes.{grant.purpose.value}").push(
+        self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(
             self._env.now - grant.granted_at
         )
         grant.purpose = purpose
@@ -270,6 +276,6 @@ class StreamPool:
 
     def _account(self) -> None:
         now = self._env.now
-        for purpose, count in self._held.items():
-            self._occupancy[purpose].update(now, count)
+        for metric, count in zip(self._occupancy, self._held.values()):
+            metric.update(now, count)
         self._occupancy_total.update(now, self._resource.in_use)

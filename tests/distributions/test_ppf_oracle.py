@@ -8,6 +8,7 @@ same ``1e-10`` tolerance.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from repro.distributions import (
     TruncatedDuration,
     UniformDuration,
 )
-from repro.numerics.rootfind import bisect
+from repro.numerics.rootfind import bisect, brent
 
 QS = [1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6, 1 - 1e-9]
 
@@ -72,3 +73,48 @@ def test_ppf_matches_bisection_oracle(dist, q):
         # at the first exact zero it meets.  Both answers must be such zeros.
         assert target.cdf(x) == level
         assert target.cdf(ref) == level
+
+
+def _uncached_ppf(dist, q):
+    """``ppf`` as it was before the bracket cache: every probe recomputed."""
+    hi = dist.upper
+    if math.isinf(hi):
+        hi = max(dist.mean, 1.0)
+        while dist.cdf(hi) < q:
+            hi *= 2.0
+    return brent(lambda x: dist.cdf(x) - q, 0.0, hi, tol=1e-10)
+
+
+@pytest.mark.parametrize("dist", FAMILIES)
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_bracket_cache_keeps_every_bit(dist, order):
+    """The cached probes give Brent the values it would compute itself.
+
+    The cache grows in a different order when the first levels asked for
+    are high (one call doubles the whole way) or low (one probe per call).
+    """
+    target, _ = _solved(dist, 0.5)
+    fresh = copy.deepcopy(target)
+    vars(fresh).pop("_ppf_probes", None)
+    levels = sorted(_solved(dist, q)[1] for q in QS)
+    if order == "descending":
+        levels.reverse()
+    for level in levels + levels:
+        assert fresh.ppf(level) == _uncached_ppf(target, level)
+
+
+def test_bracket_probes_are_computed_once():
+    calls = []
+
+    class Counted(GammaDuration):
+        def cdf(self, x):
+            calls.append(x)
+            return super().cdf(x)
+
+    dist = Counted(2.0, 4.0)
+    first = dist.ppf(0.999)
+    probes = [hi for hi, _ in dist._ppf_probes]
+    assert probes == [8.0, 16.0, 32.0, 64.0]
+    del calls[:]
+    assert dist.ppf(0.999) == first
+    assert not set(calls) & set(probes)  # no probe and no upper endpoint again

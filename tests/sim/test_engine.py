@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.parameters import SystemConfiguration
 from repro.exceptions import SimulationError
 from repro.sim.engine import AllOf, AnyOf, Environment, Event, Interrupt, Timeout
+from repro.sim.metrics import MetricsRegistry
+from repro.sim.resources import Resource
+from repro.vod.movie import Movie
+from repro.vod.partitioning import MovieService
+from repro.vod.streams import StreamPool
 
 
 class TestEventBasics:
@@ -68,6 +74,27 @@ class TestClock:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        env = Environment()
+        with pytest.raises(SimulationError, match="finite"):
+            env.timeout(delay)
+
+    def test_nan_timeout_does_not_stop_the_run_silently(self):
+        # Queued, a NaN entry at the heap top would end run() at once and
+        # silently, with every other process unrun and the clock at 0.
+        env = Environment()
+        done = []
+
+        def proc(delay):
+            yield env.timeout(delay)
+            done.append(delay)
+
+        for delay in (math.nan, 1.0, 2.0, 3.0):
+            env.process(proc(delay))
+        with pytest.raises(SimulationError, match="finite"):
+            env.run()
 
     def test_run_until_time_stops_exactly(self):
         env = Environment()
@@ -296,3 +323,124 @@ def test_events_process_in_time_order(delays):
     env.run()
     assert seen == sorted(delays)
     assert env.now == max(delays)
+
+
+class TestUnqueuedEvents:
+    """Events nobody can wait on are settled in place, never queued."""
+
+    def test_unwatched_finished_process_resumes_a_later_waiter(self):
+        env = Environment()
+        log = []
+
+        def child():
+            yield env.timeout(1.0)
+            return "child-value"
+
+        def parent(target):
+            yield env.timeout(5.0)
+            assert target.processed  # finished at 1.0 with nobody waiting
+            value = yield target
+            log.append((env.now, value))
+
+        target = env.process(child())
+        env.process(parent(target))
+        env.run(until=1.0)
+        assert target.processed and target.ok and target.value == "child-value"
+        assert not target.is_alive
+        env.run()
+        assert log == [(5.0, "child-value")]
+
+    def test_unwatched_finished_process_queues_nothing(self, monkeypatch):
+        steps = _count_steps(monkeypatch)
+        env = Environment()
+
+        def child():
+            yield env.timeout(1.0)
+
+        target = env.process(child())
+        env.run()
+        assert target.processed and env.now == 1.0
+        assert len(steps) == 2  # the bootstrap and the timeout
+
+    def test_try_request_grant_is_not_queued(self):
+        env = Environment()
+        resource = Resource(env, 1)
+        request = resource.try_request()
+        assert request is not None and request.granted
+        assert request.triggered and request.processed and request.value is request
+        assert env.peek() == math.inf
+        assert resource.try_request() is None
+
+        log = []
+
+        def holder():
+            granted = yield request  # already processed: resumes at once
+            log.append((env.now, granted is request))
+
+        env.process(holder())
+        env.run()
+        assert log == [(0.0, True)]
+
+    def test_restart_without_queued_viewer_schedules_nothing(self):
+        env = Environment()
+        service = _movie_service(env)
+        signal = service.wait_for_restart()
+        stream = service._attempt_restart()
+        assert stream is not None and stream.grant is not None
+        assert env.peek() == math.inf
+        assert service.wait_for_restart() is signal and not signal.triggered
+
+    def test_viewer_queued_after_an_unwatched_restart_wakes_at_the_next(self):
+        env = Environment()
+        service = _movie_service(env)
+        service.start()  # restarts every 20 minutes, the first at 0
+        env.run(until=1.0)
+        log = []
+
+        def viewer():
+            stream = yield service.wait_for_restart()
+            log.append((env.now, stream))
+
+        env.process(viewer())
+        env.run(until=30.0)
+        assert [when for when, _ in log] == [20.0]
+        stream = log[0][1]
+        assert stream.start_time == 20.0
+        assert stream is service.live_streams[-1]
+
+
+def _movie_service(env: Environment) -> MovieService:
+    """A 120-minute movie restarted every 20 minutes (n = 6), ample streams."""
+    metrics = MetricsRegistry()
+    return MovieService(
+        env, Movie(0, "m", 120.0, popularity=1.0),
+        SystemConfiguration(120.0, 6, 60.0), StreamPool(env, 10, metrics), metrics,
+    )
+
+
+def _count_steps(monkeypatch) -> list[float]:
+    """Wrap ``Environment.step`` to record the clock at each call."""
+    calls: list[float] = []
+    original = Environment.step
+
+    def counting_step(self):
+        calls.append(self.now)
+        return original(self)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    return calls
+
+
+def test_run_dispatches_every_event_through_step(monkeypatch):
+    """``run`` calls ``step`` once per event, so wrapping ``step`` counts events."""
+    calls = _count_steps(monkeypatch)
+    env = Environment()
+    fired = []
+    for delay in (3.0, 1.0, 2.0, 5.0):
+        env.timeout(delay).add_callback(lambda e: fired.append(env.now))
+    env.run(until=2.5)
+    assert len(calls) == 2 and fired == [1.0, 2.0]
+    env.run()
+    assert len(calls) == 4 and fired == [1.0, 2.0, 3.0, 5.0]
+    assert env.run(until=env.timeout(1.0, "done")) == "done"
+    assert len(calls) == 5

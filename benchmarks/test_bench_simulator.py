@@ -1,15 +1,9 @@
-"""Throughput of the simulation substrate: DES engine and hit simulator."""
+"""Throughput of the simulation substrate: DES engine and resources."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.hitmodel import VCRMix
-from repro.core.parameters import SystemConfiguration
-from repro.distributions import GammaDuration
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.simulation.hit_simulator import HitSimulator, SimulationSettings
 
 
 def test_engine_event_throughput(benchmark):
@@ -52,14 +46,3 @@ def test_resource_contention_throughput(benchmark):
 
     assert benchmark(run_pool) == 1000
 
-
-def test_hit_simulator_replication(benchmark):
-    """One full Figure-7-style replication (viewers, ops, hit checks)."""
-    simulator = HitSimulator(
-        SystemConfiguration(120.0, 30, 90.0),
-        GammaDuration.paper_figure7(),
-        VCRMix.paper_figure7d(),
-        settings=SimulationSettings(horizon=1200.0, warmup=200.0),
-    )
-    result = benchmark.pedantic(simulator.run, rounds=3, iterations=1)
-    assert result.overall.trials > 500

@@ -8,10 +8,10 @@ Public API highlights
 * :class:`repro.core.SystemConfiguration` — the ``(l, n, B, rates)`` geometry.
 * :class:`repro.core.HitProbabilityModel` — the analytical ``P(hit)`` model.
 * :mod:`repro.distributions` — VCR-duration distribution families.
-* :mod:`repro.simulation` — the discrete-event validation simulator.
 * :mod:`repro.sizing` — feasible sets, allocation optimisation, cost model.
 * :mod:`repro.vod` — full VOD-server simulation substrate.
-* :mod:`repro.experiments` — regenerate every figure/table of the paper.
+* :mod:`repro.experiments` — regenerate every figure/table of the paper,
+  including the Section-4 model-vs-simulation check on :mod:`repro.vod`.
 """
 
 from repro.core import (

@@ -294,10 +294,6 @@ class ProjectCallGraph:
         """Is ``qname`` an ``async def`` or transitively called from one?"""
         return qname in self._reached_via
 
-    def async_reachable(self) -> List[str]:
-        """Sorted qnames of every async-reachable function."""
-        return sorted(self._reached_via)
-
     def chain_to(self, qname: str) -> List[str]:
         """The call chain from an async entry point down to ``qname``."""
         chain: List[str] = []

@@ -18,7 +18,8 @@ viewer ``V_l`` of a partition) possible.  The window of a stream started at
 ``p_j = t − s_j`` in ``[0, l + span]``, and a resume at ``q`` is a hit iff
 some window covers ``q`` to within ``_TOL``.  The simulated server
 (:class:`~repro.vod.partitioning.MovieService`) applies the same window and
-tolerance to its actual live streams.
+tolerance to its actual live streams; this closed form is the oracle its
+tests check it against.
 
 Derivation of :func:`find_covering_window`: the window covers position ``q``
 iff ``q <= p_j`` and ``p_j − span <= q`` (for ``q <= l`` the cap
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from repro.core.parameters import SystemConfiguration
 from repro.exceptions import SimulationError
 
-__all__ = ["WindowHit", "find_covering_window", "next_restart"]
+__all__ = ["WindowHit", "find_covering_window"]
 
 _TOL = 1e-9
 
@@ -54,13 +55,6 @@ class WindowHit:
     stream_index: int
     playhead: float
     lag: float
-
-
-def next_restart(config: SystemConfiguration, now: float) -> float:
-    """First restart time at or after ``now``."""
-    spacing = config.partition_spacing
-    index = math.ceil((now - _TOL) / spacing)
-    return max(0, index) * spacing
 
 
 def find_covering_window(

@@ -63,8 +63,8 @@ def normal_quantile(p: float) -> float:
 class RunningStat:
     """Welford online accumulator for mean and variance.
 
-    Numerically stable for long simulation runs; supports merging, which the
-    hit simulator uses to combine per-replication statistics.
+    Numerically stable for long simulation runs; supports merging the
+    statistics of independent replications.
     """
 
     __slots__ = ("_count", "_mean", "_m2", "_min", "_max")

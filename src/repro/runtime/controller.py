@@ -199,7 +199,6 @@ class CapacityController:
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         self._sizer: SystemSizer | None = None
         self._current: dict[int, SystemConfiguration] = dict(initial_plan or {})
-        self._current_result: AllocationResult | None = None
         self._last_accepted_at: float | None = None
         # Seed the drift detector so the first window is compared against the
         # offline assumption, and treat the given plan as the incumbent.
@@ -223,11 +222,6 @@ class CapacityController:
     def current_allocation(self) -> dict[int, SystemConfiguration]:
         """The incumbent deployment map (possibly the initial plan)."""
         return dict(self._current)
-
-    @property
-    def current_result(self) -> AllocationResult | None:
-        """The optimiser result behind the incumbent plan, if we produced it."""
-        return self._current_result
 
     @property
     def refitter(self) -> IncrementalRefitter:
@@ -387,7 +381,6 @@ class CapacityController:
             reason="bootstrap plan" if bootstrap else "drift re-plan accepted",
         )
         self._current = dict(new_map)
-        self._current_result = result
         self._last_accepted_at = now
         self.deltas_emitted += 1
         self._trace_decision(now, "bootstrap" if bootstrap else "accepted")

@@ -326,10 +326,6 @@ class Environment:
         """Launch a generator as a cooperative process."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when every constituent fires."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing at the first constituent."""
         return AnyOf(self, events)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.exceptions import ClockRegressionError, SimulationError
-from repro.numerics.stats import RunningStat, SummaryStatistics
+from repro.numerics.stats import RunningStat
 
 __all__ = ["Counter", "TimeWeighted", "MetricsRegistry"]
 
@@ -169,10 +169,6 @@ class MetricsRegistry:
     def counter_value(self, name: str) -> int:
         """A counter's value, 0 when it was never created."""
         return self._counters[name].count if name in self._counters else 0
-
-    def tally_summary(self, name: str) -> SummaryStatistics:
-        """Frozen summary of a tally's observations."""
-        return self._tallies[name].summary()
 
     def snapshot(self, now: float) -> dict[str, float]:
         """Flat dictionary of every metric's headline value."""

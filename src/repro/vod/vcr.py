@@ -3,7 +3,7 @@
 Bundles the three ingredients the paper treats as measurable user statistics
 (Section 3.1.4): the think-time process between interactions, the operation
 mix ``(P_FF, P_RW, P_PAU)``, and a duration distribution per operation.
-Used by both the hit simulator and the full server simulation.
+Used by the server simulation and the workload generator.
 """
 
 from __future__ import annotations

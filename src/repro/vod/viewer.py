@@ -1,7 +1,8 @@
 """The full-server viewer process: playback, VCR, phase-1/phase-2 resources.
 
-This is the resource-contended version of the hit simulator's viewer.  The
-life cycle (Section 2 of the paper):
+This is the one simulated viewer: the Figure-7 harness runs it on a pool
+that never starves, the server experiments under contention.  The life
+cycle (Section 2 of the paper):
 
 1. *Arrival* — join an open enrollment window (type 2) or queue for the next
    restart (type 1).
@@ -68,6 +69,8 @@ class PopularViewer:
 
     def _notify(self, method: str, *args) -> None:
         """Fan an observation out to the attached observers (duck-typed)."""
+        if not self._observers:
+            return
         notify_observers(
             self._observers,
             method,

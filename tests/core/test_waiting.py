@@ -83,18 +83,21 @@ def test_moment_identities(n, fraction):
 
 
 def test_against_simulator(base_config):
-    """The simulator's type-1/type-2 split matches the closed form."""
-    from repro.simulation.hit_simulator import HitSimulator, SimulationSettings
+    """The simulated server's type-1/type-2 split matches the closed form."""
+    from repro.experiments.figure7 import simulate_one_title
+    from repro.vod.server import ServerWorkload
+    from repro.vod.vcr import VCRBehavior
 
-    simulator = HitSimulator(
+    server = simulate_one_title(
         base_config,
-        ExponentialDuration(5.0),
-        VCRMix.only(VCROperation.PAUSE),
-        settings=SimulationSettings(horizon=2000.0, warmup=200.0),
+        VCRBehavior.uniform_duration_model(
+            ExponentialDuration(5.0), VCRMix.only(VCROperation.PAUSE)
+        ),
+        ServerWorkload(arrival_rate=0.5, horizon=2000.0, warmup=200.0, seed=20250704),
     )
-    result = simulator.run()
-    total = result.type1_viewers + result.type2_viewers
-    observed_type2 = result.type2_viewers / total
+    type1 = server.metrics.counter_value("viewers.type1")
+    type2 = server.metrics.counter_value("viewers.type2")
+    observed_type2 = type2 / (type1 + type2)
     expected = WaitingTimeModel(base_config).type2_fraction
     assert observed_type2 == pytest.approx(expected, abs=0.03)
 

@@ -1,13 +1,13 @@
 """One window oracle: the closed form of :mod:`repro.core.windows` against
-brute force and against the simulated server's live-stream bisections, the
-periodic restart schedule, and the layering that keeps both simulators on
-it.
+brute force and against the simulated server's live-stream bisections, and
+the enrollment window of the periodic restart schedule.
 
-``HitSimulator`` asks :func:`find_covering_window`; ``VODServer`` asks
-:meth:`MovieService.find_window`.  With an unconstrained stream pool, no
-faults and no reconfiguration, the server's restarts form the periodic
-lattice the closed form assumes, so the two must agree on every hit and on
-the stream that covers it, also within a tolerance of every window edge.
+``VODServer`` asks :meth:`MovieService.find_window`, and
+:func:`find_covering_window` is its closed-form oracle.  With an
+unconstrained stream pool, no faults and no reconfiguration, the server's
+restarts form the periodic lattice the closed form assumes, so the two must
+agree on every hit and on the stream that covers it, also within a
+tolerance of every window edge.
 
 Two places are outside that claim, and the tests name them:
 
@@ -25,17 +25,12 @@ Two places are outside that claim, and the tests name them:
 
 from __future__ import annotations
 
-import ast
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.core.parameters import SystemConfiguration
-from repro.core.windows import _TOL, find_covering_window, next_restart
+from repro.core.windows import _TOL, find_covering_window
 from repro.exceptions import SimulationError
 from repro.sim.engine import Environment
 from repro.sim.metrics import MetricsRegistry
@@ -74,14 +69,8 @@ def brute_force_window(config, now, position):
 
 
 class TestStreamSchedule:
-    """The periodic restart schedule: the next restart, and the enrollment
-    window that keeps position 0 covered for ``B/n`` after each restart."""
-
-    def test_next_restart(self, config):
-        assert next_restart(config, 0.0) == 0.0
-        assert next_restart(config, 0.1) == pytest.approx(4.0)
-        assert next_restart(config, 4.0) == pytest.approx(4.0)
-        assert next_restart(config, 9.3) == pytest.approx(12.0)
+    """The periodic restart schedule's enrollment window, which keeps
+    position 0 covered for ``B/n`` after each restart."""
 
     def test_enrollment_open_tracks_span(self, config):
         # Right after the restart at t=400 (multiple of 4), position 0 is
@@ -254,24 +243,3 @@ class TestServiceMatchesClosedForm:
         assert service.find_window(30.0 + _TOL / 2).start_time == 20.0
         assert find_covering_window(config, 50.0, 30.0 + _TOL / 2).stream_index == 1
 
-
-def _imported_modules(package):
-    """Every module the ``repro.<package>`` sources import, resolved."""
-    root = Path(repro.__file__).parent / package
-    here = f"repro.{package}"
-    names = set()
-    for path in root.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                relative = "." * node.level + (node.module or "")
-                names.add(importlib.util.resolve_name(relative, here))
-    return names
-
-
-@pytest.mark.parametrize("package, other", [("vod", "simulation"), ("simulation", "vod")])
-def test_vod_and_simulation_import_nothing_from_each_other(package, other):
-    prefix = f"repro.{other}"
-    leaked = {n for n in _imported_modules(package) if n == prefix or n.startswith(prefix + ".")}
-    assert not leaked, f"repro.{package} imports {sorted(leaked)}"

@@ -1,8 +1,9 @@
-"""Integration: the analytical model tracks the simulator (paper Section 4).
+"""Integration: the analytical model tracks the simulated server (paper
+Section 4).
 
 This is the repository's equivalent of Figure 7's validation claim, run on a
-reduced grid so it stays test-suite friendly; the full-fidelity version lives
-in the benchmarks.
+reduced grid so it stays test-suite friendly; the full-fidelity version is
+``repro run figure7a`` … ``figure7d``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import pytest
 from repro.core.hitmodel import HitProbabilityModel, VCRMix
 from repro.core.vcrop import VCROperation
 from repro.distributions import GammaDuration
-from repro.simulation.hit_simulator import SimulationSettings
-from repro.simulation.runner import compare_model_and_simulation
+from repro.experiments.figure7 import compare_model_and_simulation
+from repro.vod.server import ServerWorkload
 
-SETTINGS = SimulationSettings(horizon=1500.0, warmup=300.0)
+WORKLOAD = ServerWorkload(arrival_rate=0.5, horizon=1500.0, warmup=300.0, seed=20250704)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def test_model_tracks_simulation(model, operation):
         model,
         partition_counts=[10, 30, 60],
         max_wait=1.0,
-        settings=SETTINGS,
+        workload=WORKLOAD,
         replications=3,
         operation=operation,
     )
@@ -59,7 +60,7 @@ def test_rewind_bias_direction(model):
         model,
         partition_counts=[10, 30],
         max_wait=1.0,
-        settings=SETTINGS,
+        workload=WORKLOAD,
         replications=3,
         operation=VCROperation.REWIND,
     )

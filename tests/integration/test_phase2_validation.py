@@ -86,8 +86,8 @@ def test_sized_reserve_meets_target_in_simulation(load_model):
 
 
 def test_hit_rate_matches_model_under_contention(load_model):
-    """The analytical P(hit) holds up inside the full resource-contended
-    server, not just the standalone hit simulator."""
+    """The analytical P(hit) holds up inside the resource-contended server,
+    not just on the Figure-7 harness's pool that never starves."""
     report, _ = run_server(load_model.config, reserve=25)
     predicted = load_model.model.hit_probability(load_model.config)
     assert report.hit_rate == pytest.approx(predicted, abs=0.05)

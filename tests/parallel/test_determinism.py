@@ -10,11 +10,13 @@ from repro.core.hitsets import hit_probability
 from repro.core.parameters import SystemConfiguration, VCRRates
 from repro.core.vcrop import VCROperation
 from repro.distributions import ExponentialDuration
+from repro.experiments.figure7 import resume_counts, simulate_one_title
 from repro.experiments.figure8 import figure8_tasks, run_figure8
 from repro.experiments.figure9 import run_figure9
 from repro.experiments.registry import run_experiment
 from repro.parallel.executor import ParallelExecutor, fork_available
-from repro.simulation.hit_simulator import HitSimulator, SimulationSettings
+from repro.vod.server import ServerWorkload
+from repro.vod.vcr import VCRBehavior
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
@@ -88,24 +90,25 @@ class TestFigure8ScalarOracle:
         assert written == scalar_figure8_csvs
 
 
-def _simulate(replication: int) -> tuple[float, int, int]:
-    """One seeded hit-simulator replication (module level: it is pickled)."""
+def _simulate(replication: int) -> tuple[int, int, int]:
+    """One seeded simulated-server replication (module level: it is pickled)."""
     config = SystemConfiguration(
         movie_length=60.0,
         num_partitions=6,
         buffer_minutes=30.0,
         rates=VCRRates.paper_default(),
     )
-    simulator = HitSimulator(
+    server = simulate_one_title(
         config,
-        ExponentialDuration(5.0),
-        mix=VCRMix.paper_figure7d(),
-        settings=SimulationSettings(
-            arrival_rate=0.5, horizon=120.0, warmup=20.0, seed=424242
+        VCRBehavior.uniform_duration_model(
+            ExponentialDuration(5.0), VCRMix.paper_figure7d()
+        ),
+        ServerWorkload(
+            arrival_rate=0.5, horizon=120.0, warmup=20.0, seed=424242 + replication
         ),
     )
-    result = simulator.run(replication)
-    return (result.overall.rate, result.overall.successes, result.viewers_started)
+    hits, trials = resume_counts(server.metrics)
+    return (hits, trials, server.metrics.counter_value("viewers.started"))
 
 
 class TestSimulatorReplications:

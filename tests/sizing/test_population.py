@@ -133,11 +133,9 @@ class TestAgainstSimulation:
         """Simulate each class at its session share; pooling the raw resume
         observations reproduces the operation-share-weighted blend (and not
         the headcount-weighted one)."""
-        from repro.simulation.hit_simulator import (
-            HitSimulator,
-            ObservedRate,
-            SimulationSettings,
-        )
+        from repro.experiments.figure7 import resume_counts, simulate_one_title
+        from repro.vod.server import ServerWorkload
+        from repro.vod.vcr import VCRBehavior
 
         population = PopulationModel(
             120.0,
@@ -153,34 +151,38 @@ class TestAgainstSimulation:
             ],
         )
         total_rate = 0.8
-        pooled = ObservedRate()
-        per_class: dict[str, ObservedRate] = {}
+        pooled_hits = pooled_trials = 0
+        per_class_trials: dict[str, int] = {}
         for cls in population.classes:
-            simulator = HitSimulator(
-                CONFIG,
-                cls.durations,
-                cls.mix,
-                settings=SimulationSettings(
-                    arrival_rate=total_rate * population.session_share(cls.name),
-                    mean_think_time=cls.mean_think_time,
-                    horizon=2500.0,
-                    warmup=300.0,
-                ),
+            behavior = VCRBehavior.uniform_duration_model(
+                cls.durations, cls.mix, cls.mean_think_time
             )
-            observed = ObservedRate()
+            trials = 0
             for replication in range(2):
-                observed = observed.merge(simulator.run(replication).overall)
-            per_class[cls.name] = observed
-            pooled = pooled.merge(observed)
+                server = simulate_one_title(
+                    CONFIG,
+                    behavior,
+                    ServerWorkload(
+                        arrival_rate=total_rate * population.session_share(cls.name),
+                        horizon=2500.0,
+                        warmup=300.0,
+                        seed=20250704 + replication,
+                    ),
+                )
+                run_hits, run_trials = resume_counts(server.metrics)
+                pooled_hits += run_hits
+                trials += run_trials
+            per_class_trials[cls.name] = trials
+            pooled_trials += trials
         # The weighting rule itself: each class's share of observed resume
         # events matches the drift-corrected operation share (the naive
         # l/think share of 2/3 for the surfers is measurably wrong).
-        surfer_trial_share = per_class["surfer"].trials / pooled.trials
+        surfer_trial_share = per_class_trials["surfer"] / pooled_trials
         assert surfer_trial_share == pytest.approx(
             population.operation_share("surfer"), abs=0.05
         )
         assert abs(surfer_trial_share - 2.0 / 3.0) > 0.05
         # And the blended rate matches within the per-class model bias.
-        assert pooled.rate == pytest.approx(
+        assert pooled_hits / pooled_trials == pytest.approx(
             population.hit_probability(CONFIG), abs=0.04
         )

@@ -8,14 +8,23 @@ integrates to exactly one on ``[0, limit]`` — which keeps the hit/miss/end
 decomposition of Eq. (21) a proper partition of probability.
 
 Sampling uses inverse-CDF rejection-free transformation: draw
-``U ~ Uniform(0, F(limit))`` and invert.
+``U ~ Uniform(0, F(limit))`` and invert.  A base that overrides ``ppf`` with
+a closed form (exponential, Weibull, uniform, empirical) inverts directly.
+The others (gamma, lognormal, mixture) solve ``F(x) = U`` numerically: an
+exact grid of base CDF values at 4,097 evenly spaced points of
+``[0, limit]``, from ``cdf_batch`` and so equal to the scalar ``cdf``, is
+bisected for the cell that holds ``U``, and Brent's method runs on that one
+cell, starting from the grid's two end values.  The quantile keeps the
+generic ``ppf``'s accuracy, ``1e-10`` absolute and relative below 1, at
+about a third of its CDF calls.
 
 Sizing sweeps and the runtime re-planner construct the same truncations over
 and over (every :class:`~repro.core.hitmodel.HitProbabilityModel` truncates
 its durations, and the reservation layer reads ``mean`` — a 64-node
-quadrature — on each evaluation), so the two invariants of a truncation, the
-normalisation constant ``F(limit)`` and the conditional mean, are memoised in
-a bounded module-level cache.  Only distributions whose parameters are plain
+quadrature — on each evaluation), so the invariants of a truncation, the
+normalisation constant ``F(limit)``, the conditional mean and the sampling
+grid, are memoised in a bounded module-level cache: every simulated viewer
+of a title shares one grid.  Only distributions whose parameters are plain
 scalars (every parametric family) are cached; empirical and composite
 distributions fall back to per-instance computation because their textual
 descriptions do not uniquely determine them.
@@ -23,12 +32,15 @@ descriptions do not uniquely determine them.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.distributions.base import DurationDistribution
 from repro.exceptions import DistributionError
+from repro.numerics.rootfind import brent
 
 __all__ = [
     "TruncatedDuration",
@@ -38,7 +50,10 @@ __all__ = [
 ]
 
 _CACHE_MAX_ENTRIES = 2048
-_invariants: "OrderedDict[tuple, dict[str, float]]" = OrderedDict()
+#: Cells of the sampling grid on ``[0, limit]``, a power of two, so that the
+#: grid points ``k · (limit / 4096)`` are exact multiples of an exact step.
+_GRID_CELLS = 4096
+_invariants: "OrderedDict[tuple, dict]" = OrderedDict()
 _cache_hits = 0
 _cache_misses = 0
 
@@ -63,7 +78,7 @@ def _invariant_key(base: DurationDistribution, limit: float) -> tuple | None:
     return (type(base).__qualname__, tuple(values), float(limit))
 
 
-def _invariant_entry(key: tuple | None) -> dict[str, float] | None:
+def _invariant_entry(key: tuple | None) -> dict | None:
     """Cache lookup with LRU promotion and hit/miss accounting."""
     global _cache_hits, _cache_misses
     if key is None:
@@ -77,7 +92,7 @@ def _invariant_entry(key: tuple | None) -> dict[str, float] | None:
     return entry
 
 
-def _invariant_store(key: tuple | None, entry: dict[str, float]) -> None:
+def _invariant_store(key: tuple | None, entry: dict) -> None:
     if key is None:
         return
     _invariants[key] = entry
@@ -106,7 +121,9 @@ def clear_truncation_cache() -> None:
 class TruncatedDuration(DurationDistribution):
     """``base`` conditioned on the event ``{X <= limit}``."""
 
-    __slots__ = ("_base", "_limit", "_mass", "_mean_cache", "_invariant_key_cache")
+    __slots__ = (
+        "_base", "_limit", "_mass", "_mean_cache", "_invariant_key_cache", "_grid_cache"
+    )
 
     def __init__(self, base: DurationDistribution, limit: float) -> None:
         limit = self._require_positive("limit", limit)
@@ -127,6 +144,7 @@ class TruncatedDuration(DurationDistribution):
         self._mass = mass
         self._mean_cache = entry.get("mean")
         self._invariant_key_cache = key
+        self._grid_cache = entry.get("grid")
 
     @property
     def base(self) -> DurationDistribution:
@@ -202,13 +220,48 @@ class TruncatedDuration(DurationDistribution):
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
             return super().ppf(q)
-        return self._base.ppf(q * self._mass)
+        return self._base_ppf(q * self._mass)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is None:
-            return self._base.ppf(float(rng.uniform(0.0, self._mass)))
+            return self._base_ppf(float(rng.uniform(0.0, self._mass)))
         qs = rng.uniform(0.0, self._mass, size=size)
-        return np.fromiter(map(self._base.ppf, qs.tolist()), dtype=float, count=size)
+        return np.fromiter(map(self._base_ppf, qs.tolist()), dtype=float, count=size)
+
+    def _base_ppf(self, p: float) -> float:
+        """The base quantile at ``p`` in ``[0, F(limit)]``, a point of ``[0, limit]``."""
+        base = self._base
+        if type(base).ppf is not DurationDistribution.ppf:
+            return base.ppf(p)
+        fs = self._grid_cache or self._grid()
+        # fs[0] = F(0) = 0 and fs[-1] = F(limit) bound every p; the cell
+        # [(i - 1)·step, i·step] has fs[i - 1] < p <= fs[i].
+        i = max(bisect_left(fs, p), 1)
+        step = self._limit / _GRID_CELLS
+        return brent(
+            lambda x: base.cdf(x) - p,
+            (i - 1) * step,
+            i * step,
+            tol=1e-10,
+            f_lo=fs[i - 1] - p,
+            f_hi=fs[i] - p,
+        )
+
+    def _grid(self) -> array:
+        """Base CDF values at ``k · limit/4096``, k = 0..4096, shared through the cache.
+
+        A C-double array: a 32 KB grid per title, where a list of floats
+        would take 128 KB.
+        """
+        entry = _invariant_entry(self._invariant_key_cache)
+        grid = None if entry is None else entry.get("grid")
+        if grid is None:
+            xs = np.arange(_GRID_CELLS + 1) * (self._limit / _GRID_CELLS)
+            grid = array("d", self._base.cdf_batch(xs).tobytes())
+            if entry is not None:
+                entry["grid"] = grid
+        self._grid_cache = grid
+        return grid
 
     def describe(self) -> str:
         return f"Truncated({self._base.describe()}, limit={self._limit:g})"

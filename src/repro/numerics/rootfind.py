@@ -60,6 +60,7 @@ def brent(
     tol: float = 1e-12,
     max_iter: int = 100,
     *,
+    f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
     """Brent's method: inverse-quadratic/secant with bisection fallback.
@@ -71,11 +72,11 @@ def brent(
 
     The root is located to within ``tol`` both absolutely and relatively
     (``tol * min(1, |x|)``), so a root near zero keeps its relative accuracy.
-    A caller that already knows ``func(hi)`` passes it as ``f_hi`` to skip
-    that evaluation.
+    A caller that already knows ``func(lo)`` or ``func(hi)`` passes it as
+    ``f_lo`` or ``f_hi`` to skip that evaluation.
     """
     a, b = float(lo), float(hi)
-    fa = float(func(a))
+    fa = float(func(a)) if f_lo is None else float(f_lo)
     fb = float(func(b)) if f_hi is None else float(f_hi)
     if fa == 0.0:
         return a

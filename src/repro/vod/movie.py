@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -89,6 +90,7 @@ class MovieCatalog:
             )
         self._popular_count = popular_count
         self._by_id = {m.movie_id: m for m in self._movies}
+        self._cumulative = _cumulative(self._movies)
 
     @classmethod
     def synthetic(
@@ -174,15 +176,26 @@ class MovieCatalog:
             raise ConfigurationError(f"popularities must sum to 1, got {total}")
         self._movies = tuple(updated)
         self._by_id = {m.movie_id: m for m in self._movies}
+        self._cumulative = _cumulative(self._movies)
 
     def sample(self, rng: np.random.Generator) -> Movie:
-        """Draw a movie according to popularity."""
-        weights = [m.popularity for m in self._movies]
-        index = int(rng.choice(len(self._movies), p=weights))
-        return self._movies[index]
+        """Draw a movie according to popularity.
+
+        The same index and the same generator draw as
+        ``rng.choice(len(self), p=popularities)``, which bisects the same
+        normalised cumulative table with one ``rng.random()``.
+        """
+        return self._movies[bisect_right(self._cumulative, rng.random())]
 
     def __len__(self) -> int:
         return len(self._movies)
 
     def __iter__(self) -> Iterator[Movie]:
         return iter(self._movies)
+
+
+def _cumulative(movies: Sequence[Movie]) -> list[float]:
+    """``Generator.choice``'s table: the popularities' cumsum over its last value."""
+    cdf = np.cumsum([m.popularity for m in movies])
+    cdf /= cdf[-1]
+    return cdf.tolist()

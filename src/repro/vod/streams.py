@@ -30,10 +30,12 @@ class StreamPurpose(enum.Enum):
     UNPOPULAR = "unpopular"        # dedicated stream for a long-tail title
 
 
-#: Each purpose's hold-duration tally, named once.
-_HOLD_TALLY: dict[StreamPurpose, str] = {
-    purpose: f"hold_minutes.{purpose.value}" for purpose in StreamPurpose
-}
+#: Each purpose's index into the pool's per-purpose sequences (declaration
+#: order).  Grants carry it, so a release hashes no enum member.
+_SLOT: dict[StreamPurpose, int] = {purpose: slot for slot, purpose in enumerate(StreamPurpose)}
+
+#: Each purpose's hold-duration tally, named once, by slot.
+_HOLD_TALLY: tuple[str, ...] = tuple(f"hold_minutes.{purpose.value}" for purpose in StreamPurpose)
 
 #: Default order in which revocation sheds load: interactive extras go
 #: before anything a whole batch of viewers depends on.
@@ -57,6 +59,8 @@ class StreamGrant:
     #: Set when the fault layer reclaimed the stream out from under the
     #: holder; every later release/retag of this grant is an accounting error.
     revoked: bool = False
+    #: ``purpose``'s index into the pool's per-purpose sequences.
+    slot: int = -1
 
     def retag(self, pool: "StreamPool", purpose: StreamPurpose) -> None:
         """Change the accounting purpose without releasing the stream.
@@ -87,14 +91,15 @@ class StreamPool:
         self._resource = Resource(env, capacity, name="io-streams")
         self._metrics = metrics or MetricsRegistry()
         self._tracer = tracer if tracer is not None and tracer.enabled else None
-        self._held: dict[StreamPurpose, int] = {purpose: 0 for purpose in StreamPurpose}
+        #: Streams held per purpose, by slot.
+        self._held: list[int] = [0] * len(_SLOT)
         self._live: dict[int, StreamGrant] = {}
         self._next_token = 0
         # Held by reference: ``MetricsRegistry.reset_all`` resets them in place.
-        # One per purpose, in ``_held``'s (declaration) order.
+        # One per purpose, by slot.
         self._occupancy: tuple[TimeWeighted, ...] = tuple(
             self._metrics.time_weighted(f"streams.{purpose.value}", now=env.now)
-            for purpose in self._held
+            for purpose in _SLOT
         )
         self._occupancy_total = self._metrics.time_weighted("streams.total", now=env.now)
 
@@ -123,7 +128,7 @@ class StreamPool:
 
     def held_for(self, purpose: StreamPurpose) -> int:
         """Streams currently held for one purpose."""
-        return self._held[purpose]
+        return self._held[_SLOT[purpose]]
 
     # ------------------------------------------------------------------
     # Acquisition.
@@ -159,12 +164,13 @@ class StreamPool:
         self._check_live(grant, "release")
         del self._live[grant.token]
         self._resource.release(grant.request)
-        self._held[grant.purpose] -= 1
-        if self._held[grant.purpose] < 0:
+        slot = grant.slot
+        self._held[slot] -= 1
+        if self._held[slot] < 0:
             raise ResourceError(f"negative hold count for {grant.purpose}")
         held = self._env.now - grant.granted_at
-        self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(held)
-        self._account()
+        self._metrics.tally(_HOLD_TALLY[slot]).push(held)
+        self._account(slot)
         if self._tracer is not None:
             self._tracer.emit(
                 "stream_release",
@@ -180,7 +186,7 @@ class StreamPool:
     def resize(self, capacity: int) -> None:
         """Change the pool size (growth wakes waiters, shrink is lazy)."""
         self._resource.resize(capacity)
-        self._account()
+        self._account_all()
 
     def revoke(
         self,
@@ -212,9 +218,9 @@ class StreamPool:
             del self._live[grant.token]
             grant.revoked = True
             self._resource.release(grant.request)
-            self._held[grant.purpose] -= 1
+            self._held[grant.slot] -= 1
             held = self._env.now - grant.granted_at
-            self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(held)
+            self._metrics.tally(_HOLD_TALLY[grant.slot]).push(held)
             self._metrics.counter("streams.revoked").increment()
             if self._tracer is not None:
                 self._tracer.emit(
@@ -224,23 +230,25 @@ class StreamPool:
                     in_use=self._resource.in_use,
                     held_minutes=held,
                 )
-        self._account()
+        self._account_all()
         return victims
 
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
     def _issue(self, request: ResourceRequest, purpose: StreamPurpose) -> StreamGrant:
+        slot = _SLOT[purpose]
         grant = StreamGrant(
             request=request,
             purpose=purpose,
             granted_at=self._env.now,
             token=self._next_token,
+            slot=slot,
         )
         self._next_token += 1
         self._live[grant.token] = grant
-        self._held[purpose] += 1
-        self._account()
+        self._held[slot] += 1
+        self._account(slot)
         if self._tracer is not None:
             self._tracer.emit(
                 "stream_acquire",
@@ -265,17 +273,29 @@ class StreamPool:
 
     def _retag(self, grant: StreamGrant, purpose: StreamPurpose) -> None:
         self._check_live(grant, "retag")
-        self._held[grant.purpose] -= 1
-        self._held[purpose] += 1
-        self._metrics.tally(_HOLD_TALLY[grant.purpose]).push(
-            self._env.now - grant.granted_at
-        )
-        grant.purpose = purpose
-        grant.granted_at = self._env.now
-        self._account()
-
-    def _account(self) -> None:
+        old, new = grant.slot, _SLOT[purpose]
+        self._held[old] -= 1
+        self._held[new] += 1
         now = self._env.now
-        for metric, count in zip(self._occupancy, self._held.values()):
+        self._metrics.tally(_HOLD_TALLY[old]).push(now - grant.granted_at)
+        grant.purpose = purpose
+        grant.slot = new
+        grant.granted_at = now
+        self._account(old)
+        self._occupancy[new].update(now, self._held[new])
+
+    def _account(self, slot: int) -> None:
+        """Record the changed count of one purpose and the pool's total.
+
+        A purpose whose count did not change needs no update: its state is
+        piecewise constant, so the next update integrates the longer segment.
+        """
+        now = self._env.now
+        self._occupancy[slot].update(now, self._held[slot])
+        self._occupancy_total.update(now, self._resource.in_use)
+
+    def _account_all(self) -> None:
+        now = self._env.now
+        for metric, count in zip(self._occupancy, self._held):
             metric.update(now, count)
         self._occupancy_total.update(now, self._resource.in_use)

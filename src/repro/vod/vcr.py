@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.hitmodel import VCRMix
 from repro.core.vcrop import VCROperation
 from repro.distributions.base import DurationDistribution
-from repro.distributions.exponential import ExponentialDuration
 from repro.distributions.gamma import GammaDuration
 from repro.distributions.truncated import truncate
 from repro.exceptions import ConfigurationError
@@ -59,15 +58,6 @@ class VCRBehavior:
         """Figure 7(d): gamma(2, 4) durations, mix (0.2, 0.2, 0.6)."""
         return cls.uniform_duration_model(
             GammaDuration.paper_figure7(), VCRMix.paper_figure7d(), mean_think_time
-        )
-
-    @classmethod
-    def calm(cls, mean_duration: float = 3.0, mean_think_time: float = 40.0) -> "VCRBehavior":
-        """A low-interaction profile: rare, short operations."""
-        return cls.uniform_duration_model(
-            ExponentialDuration(mean_duration),
-            VCRMix(p_ff=0.3, p_rw=0.2, p_pause=0.5),
-            mean_think_time,
         )
 
     def truncated_to(self, movie_length: float) -> "VCRBehavior":

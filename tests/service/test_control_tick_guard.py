@@ -45,13 +45,13 @@ EXPECTED_APPLIED = [
         "drift re-plan accepted",
     ),
     (
-        120.73920831138365,
+        120.73920831136364,
         ((0, 30, 69.0679906679257), (1, 24, 57.2078294007847), (2, 29, 68.92984935055821)),
         13,
         "drift re-plan accepted",
     ),
     (
-        150.83722028248502,
+        150.83722028246166,
         ((0, 29, 71.0679906679257), (1, 24, 57.2078294007847), (2, 29, 68.92984935055821)),
         42,
         "drift re-plan accepted",

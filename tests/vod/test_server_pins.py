@@ -85,29 +85,29 @@ def _fault_plan() -> FaultPlan:
 _FAULT_FREE = {
     1: (
         651, 658, 284,
-        "0fa94ffa074057f73a11bd54dc959a2cc2c7bf4348e13169e270121212fe5328",
-        "ee395cb7584aa7d709d990c220e40c53dd1c1b5efb233605da735914de64731e",
+        "8f09c084512e06bed1f9fbd74ed141eb6ec9e985b15806fb795709c9639c42e2",
+        "99de369041ad55b68a8249fbb425e2c152f011b05809cb096d82910a266efa9e",
     ),
     2: (
         603, 610, 261,
-        "906c7ebbe20a3e8f41be8d3e8d9cdfa850d4e578e23a18276d9a0a01fe0b9d5e",
-        "e2597f5a4d0b98e1c5829a443991b6a83c1420a6c5b289d24a90439a58ec99e7",
+        "021bd2d804a8f007070cd5f1e44b57df30f82dcdc77daf89bc7a3e07e2007671",
+        "ae27625f23b2c9000f283ca98782a70c7f8bd07f06718622ec9adc7b7659fee8",
     ),
     3: (
         574, 570, 255,
-        "042aa1f7a36e39c28af08d0241c4a455e574e79e7e99b7c8289e42f30de3965c",
-        "ef72eb4262948a5c267335009dadec45409969063fa04ba0e83951800e4d9383",
+        "fe1470c97a52c79bde5442e364f7ab2d7f2848e697276e19c35abf8d9b13b9ab",
+        "992288b494b071398b2b6896c2310e2cc655385e0933866cd4d1d6691f2050d3",
     ),
 }
 _FAULTED = (
     475, 580, 255,
-    "329ca750fa89f056088ac9311c909a128650929f0ef095b7d7f82c17599bb0a1",
-    "3dad0926e00a5cbc7cfb7b119d329a38ea74d31dad5ec511f1a493183588e4a5",
+    "5bd24a9ae0258bb9683c09ffd27e1842b6489484dd90fbda295222ce6e47fb18",
+    "437ac0fb7cd0d6ce25d8250744652344fd36a920a0fe14c521496f94fb585c1d",
 )
 _STEPPED = (
     499, 602, 233,
-    "c036b7627539930ec4a475dd3e4a5a97685679d113b23a4e7acc22dcae8c3d8e",
-    "fab769e6ba59a77f823302b687de365ac216e58e925db60ccd9a66e6f0118cc5",
+    "8a196a9765fe302c87ff84de5b220d405dbcea5e1982f6ec1b495700b4158b97",
+    "a270f397ffe570e4cd9154e8099faaf9ee2c3d233bd410e0670cbe940beaa1be",
 )
 
 

@@ -23,8 +23,12 @@ class TestConstruction:
         assert behavior.mix == VCRMix.paper_figure7d()
         assert behavior.durations[VCROperation.PAUSE].mean == pytest.approx(8.0)
 
-    def test_calm_preset(self):
-        behavior = VCRBehavior.calm()
+    def test_mix_and_think_time_carried(self):
+        mix = VCRMix(p_ff=0.3, p_rw=0.2, p_pause=0.5)
+        behavior = VCRBehavior.uniform_duration_model(
+            ExponentialDuration(3.0), mix, mean_think_time=40.0
+        )
+        assert behavior.mix == mix
         assert behavior.mean_think_time == 40.0
 
     def test_missing_operation_rejected(self):

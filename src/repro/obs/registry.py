@@ -149,10 +149,6 @@ class Gauge:
         """Add ``amount`` (may be negative)."""
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount``."""
-        self._value -= amount
-
     @property
     def value(self) -> float:
         """Current value."""
@@ -255,7 +251,16 @@ class MetricFamily:
         self._children: Dict[Tuple[str, ...], object] = {}
 
     def labels(self, *values: object) -> object:
-        """The child metric for one label-value tuple (created on first use)."""
+        """The child metric for one label-value tuple (created on first use).
+
+        Children are keyed by their label values as a tuple of ``str``, so
+        an existing child asked for with ``str`` values (or, label-less,
+        with none) is one dict lookup.  Any other value, and a wrong arity,
+        misses that lookup and is checked and converted with ``str`` here.
+        """
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if len(values) != len(self.labelnames):
             raise ObservabilityError(
                 f"{self.name}: expected {len(self.labelnames)} label values "
@@ -281,10 +286,6 @@ class MetricFamily:
     def set(self, value: float) -> None:
         """Set the label-less gauge child."""
         self.labels().set(value)  # type: ignore[attr-defined]
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Decrement the label-less gauge child."""
-        self.labels().dec(amount)  # type: ignore[attr-defined]
 
     def observe(self, value: float) -> None:
         """Observe into the label-less histogram child."""

@@ -185,6 +185,13 @@ class SLOMonitor:
         self.config = config or SLOConfig()
         self._tracer = tracer
         self._states = {objective: _ObjectiveState() for objective in OBJECTIVES}
+        self._latency_state = self._states["p99_latency"]
+        self._deny_state = self._states["deny_rate"]
+        #: Per objective, in evaluation order: ``(objective, state, budget,
+        #: fast burn gauge, slow burn gauge, breaching gauge)``, the gauges
+        #: ``None`` without a registry.  Bound on the first evaluation, so
+        #: a scrape before the first request shows no zero-valued children.
+        self._rows: tuple | None = None
         self.alerts_emitted = 0
         self._burn_gauge = None
         self._breaching_gauge = None
@@ -218,28 +225,42 @@ class SLOMonitor:
         trace_id: str | None = None,
     ) -> list[SLOAlert]:
         """Feed one answered request; returns any alert edges it caused."""
-        latency_state = self._states["p99_latency"]
-        latency_state.append(
+        self._latency_state.append(
             (t_minutes, latency_seconds > self.config.latency_threshold_seconds,
              latency_seconds)
         )
         if kind == "session_start":
-            deny_state = self._states["deny_rate"]
             bad = decision in _DENY_DECISIONS
-            deny_state.append((t_minutes, bad, 1.0 if bad else 0.0))
+            self._deny_state.append((t_minutes, bad, 1.0 if bad else 0.0))
         return self._evaluate(t_minutes, trace_id)
 
     # ------------------------------------------------------------------
     # Evaluation.
     # ------------------------------------------------------------------
+    def _bind_rows(self) -> tuple:
+        rows = []
+        for objective in OBJECTIVES:
+            gauges = (None, None, None)
+            if self._burn_gauge is not None:
+                gauges = (
+                    self._burn_gauge.labels(objective, "fast"),
+                    self._burn_gauge.labels(objective, "slow"),
+                    self._breaching_gauge.labels(objective),
+                )
+            rows.append(
+                (objective, self._states[objective],
+                 self.config.budget(objective), *gauges)
+            )
+        self._rows = tuple(rows)
+        return self._rows
+
     def _evaluate(self, now: float, trace_id: str | None) -> list[SLOAlert]:
         alerts: list[SLOAlert] = []
-        for objective in OBJECTIVES:
-            state = self._states[objective]
+        rows = self._rows or self._bind_rows()
+        for objective, state, budget, fast_gauge, slow_gauge, breaching_gauge in rows:
             state.evict(now)
             fast_total = len(state.fast)
             slow_total = len(state.slow)
-            budget = self.config.budget(objective)
             state.burn_fast = (
                 (state.fast_bad / fast_total) / budget if fast_total else 0.0
             )
@@ -255,13 +276,10 @@ class SLOMonitor:
                 elif floor >= WARN_BURN:
                     severity = "warn"
 
-            if self._burn_gauge is not None:
-                self._burn_gauge.labels(objective, "fast").set(state.burn_fast)
-                self._burn_gauge.labels(objective, "slow").set(state.burn_slow)
-            if self._breaching_gauge is not None:
-                self._breaching_gauge.labels(objective).set(
-                    1.0 if severity is not None else 0.0
-                )
+            if fast_gauge is not None:
+                fast_gauge.set(state.burn_fast)
+                slow_gauge.set(state.burn_slow)
+                breaching_gauge.set(1.0 if severity is not None else 0.0)
 
             if severity != state.severity:
                 breaching = severity is not None

@@ -65,6 +65,10 @@ __all__ = ["EngineStats", "ServiceActuator", "AdmissionEngine"]
 
 _log = get_logger("service.engine")
 
+#: Encodes decision-log lines; the bytes ``json.dumps(record,
+#: sort_keys=True)`` writes, without building an encoder per line.
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True)
+
 #: request kind -> the VCR operation it carries.
 _KIND_TO_OP = {
     "pause": VCROperation.PAUSE,
@@ -218,6 +222,9 @@ class AdmissionEngine:
                 labelnames=("decision",),
                 buckets=REQUEST_LATENCY_BUCKETS,
             )
+        #: decision -> (counter child, latency histogram child), bound on
+        #: the decision's first use so an early scrape shows no zero series.
+        self._decision_children: dict[str, tuple] = {}
         #: Live scrape endpoint serving the metrics/health admin verbs.
         self.scrape: ScrapeEndpoint | None = None
         if registry is not None:
@@ -822,11 +829,16 @@ class AdmissionEngine:
                 queue_wait=queue_wait_minutes,
                 engine_time=engine_minutes,
             )
-        if self._decisions_metric is not None:
-            self._decisions_metric.labels(response.decision).inc()
         latency_seconds = context.queue_wait_seconds + engine_seconds
-        if self._request_latency is not None:
-            self._request_latency.labels(response.decision).observe(latency_seconds)
+        if self._decisions_metric is not None:
+            children = self._decision_children.get(response.decision)
+            if children is None:
+                children = self._decision_children[response.decision] = (
+                    self._decisions_metric.labels(response.decision),
+                    self._request_latency.labels(response.decision),
+                )
+            children[0].inc()
+            children[1].observe(latency_seconds)
         if self._decision_log is not None:
             record = {
                 "seq": self._decision_seq,
@@ -837,7 +849,7 @@ class AdmissionEngine:
                 "reason": response.reason,
                 "trace_id": context.trace_id,
             }
-            self._decision_log.write(json.dumps(record, sort_keys=True) + "\n")
+            self._decision_log.write(_LOG_ENCODER.encode(record) + "\n")
             self._decision_seq += 1
         if self._slo is not None:
             alerts = self._slo.record_decision(

@@ -67,7 +67,13 @@ class ServerWorkload:
 
 @dataclass(frozen=True)
 class ServerMetricsReport:
-    """Headline outcomes of one server run."""
+    """Headline outcomes of one server run.
+
+    ``hit_rate`` counts resumes only: ``resume_hits / (resume_hits +
+    resume_misses)``.  The model's P(hit) also counts an FF that reaches
+    the end of the movie as a hit (Eq. 20); compare against it with
+    :func:`repro.experiments.figure7.resume_counts` instead.
+    """
 
     hit_rate: float
     resume_hits: int

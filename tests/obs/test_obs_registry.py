@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.core.parameters import SystemConfiguration
 from repro.exceptions import ObservabilityError
 from repro.obs.registry import (
     TIER_PROCESS,
@@ -15,6 +16,11 @@ from repro.obs.registry import (
     default_registry,
     set_default_registry,
 )
+from repro.obs.slo import SLOConfig
+from repro.service.clock import VirtualClock
+from repro.service.engine import AdmissionEngine
+from repro.service.protocol import Request
+from repro.vod.movie import Movie, MovieCatalog
 
 
 class TestFamilies:
@@ -30,12 +36,12 @@ class TestFamilies:
         with pytest.raises(ObservabilityError):
             registry.counter("repro_x_total").inc(-1)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_and_inc(self):
         registry = ObsRegistry()
         gauge = registry.gauge("repro_in_use")
         gauge.set(7)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.labels().value == 8
 
     def test_labelled_children_are_distinct(self):
@@ -72,6 +78,73 @@ class TestFamilies:
             registry.counter("bad name")
         with pytest.raises(ObservabilityError):
             registry.counter("repro_ok", labelnames=("bad-label",))
+
+
+class TestChildLookup:
+    """``labels()`` returns an existing child in one lookup, and only then."""
+
+    def test_non_string_values_share_the_string_child(self):
+        family = ObsRegistry().counter("repro_ops_total", labelnames=("op",))
+        assert family.labels(1) is family.labels("1")
+        assert family.labels("1") is family.labels(1)
+        assert family.labels(True) is family.labels("True")
+        assert family.labels("True") is family.labels(True)
+        assert [key for key, _ in family.children()] == [("1",), ("True",)]
+
+    def test_wrong_arity_raises_after_a_child_exists(self):
+        family = ObsRegistry().counter("repro_ops_total", labelnames=("op",))
+        family.labels("FF").inc()
+        with pytest.raises(ObservabilityError):
+            family.labels()
+        with pytest.raises(ObservabilityError):
+            family.labels("FF", "RW")
+
+    def test_label_less_updates_reach_the_one_child(self):
+        registry = ObsRegistry()
+        counter = registry.counter("repro_c_total")
+        gauge = registry.gauge("repro_g")
+        histogram = registry.histogram("repro_h", buckets=(1.0,))
+        counter.inc()
+        counter.inc(2)
+        gauge.set(4)
+        gauge.inc()
+        histogram.observe(0.5)
+        histogram.observe(2.0)
+        for family in (counter, gauge, histogram):
+            [(key, child)] = family.children()
+            assert key == ()
+            assert child is family.labels()
+        assert counter.labels().value == 3
+        assert gauge.labels().value == 5
+        assert histogram.labels().count == 2
+
+    def test_engine_binds_its_children_on_first_request(self):
+        registry = ObsRegistry()
+        engine = AdmissionEngine(
+            MovieCatalog([Movie(0, "solo", 90.0, popularity=1.0)], popular_count=1),
+            {0: SystemConfiguration(movie_length=90.0, num_partitions=3,
+                                    buffer_minutes=30.0)},
+            8,
+            clock=VirtualClock(),
+            registry=registry,
+            slo=SLOConfig(),
+        )
+        lazy = (
+            "repro_slo_burn_rate",
+            "repro_slo_breaching",
+            "repro_service_decisions_total",
+            "repro_request_latency_seconds",
+        )
+        families = {f.name: f for f in registry.families(include_process=True)}
+        for name in lazy:
+            assert families[name].children() == []
+        engine.handle(Request(request_id=0, kind="session_start", session=1, movie=0))
+        assert len(families["repro_slo_burn_rate"].children()) == 4
+        assert len(families["repro_slo_breaching"].children()) == 2
+        assert [key for key, _ in families["repro_service_decisions_total"].children()] == [
+            ("batch",)
+        ]
+        assert families["repro_request_latency_seconds"].labels("batch").count == 1
 
 
 class TestHistogram:
